@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -142,14 +143,14 @@ func fig58Tables(b *testing.B, tuples int) (raw, avq *table.Table, spec gen.Spec
 		b.Fatal(err)
 	}
 	mk := func(codec core.Codec) *table.Table {
-		tb, err := table.Create(schema, table.Options{
-			Codec:          codec,
-			SecondaryAttrs: table.AllAttrs(schema),
-		})
+		tb, err := table.Create(schema,
+			table.WithCodec(codec),
+			table.WithSecondaryAttrs(table.AllAttrs(schema)...),
+		)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(data); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -192,7 +193,7 @@ func BenchmarkFig58BlocksAccessed(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					_, stats, err := eng.tbl.SelectRange(c.attr, lo, hi)
+					_, stats, err := eng.tbl.SelectRangeContext(context.Background(), c.attr, lo, hi)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -236,25 +237,26 @@ func BenchmarkAblationCodecs(b *testing.B) {
 // BenchmarkTableMutations times localized insert and delete (Section 4.2):
 // decode, modify, re-code of a single block plus index maintenance.
 func BenchmarkTableMutations(b *testing.B) {
+	ctx := context.Background()
 	schema, data, err := gen.Spec38Byte(10000, false, 3).Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+	tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := tb.BulkLoad(data); err != nil {
+	if err := tb.BulkLoadContext(ctx, data); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("insert+delete", func(b *testing.B) {
 		tu := data[len(data)/2].Clone()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := tb.Insert(tu); err != nil {
+			if err := tb.InsertContext(ctx, tu); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := tb.Delete(tu); err != nil {
+			if _, err := tb.DeleteContext(ctx, tu); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -279,11 +281,11 @@ func BenchmarkBulkLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(data); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,6 +294,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 // BenchmarkInsertBatchVsSequential quantifies the batch-merge insertion
 // path against tuple-at-a-time inserts.
 func BenchmarkInsertBatchVsSequential(b *testing.B) {
+	ctx := context.Background()
 	schema, base, err := gen.Spec38Byte(5000, false, 7).Build()
 	if err != nil {
 		b.Fatal(err)
@@ -301,11 +304,11 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	load := func() *table.Table {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(base); err != nil {
+		if err := tb.BulkLoadContext(ctx, base); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -317,7 +320,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 			tb := load()
 			b.StartTimer()
 			for _, tu := range batch {
-				if err := tb.Insert(tu); err != nil {
+				if err := tb.InsertContext(ctx, tu); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -329,7 +332,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 			b.StopTimer()
 			tb := load()
 			b.StartTimer()
-			if err := tb.InsertBatch(batch); err != nil {
+			if err := tb.InsertBatchContext(ctx, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -339,6 +342,7 @@ func BenchmarkInsertBatchVsSequential(b *testing.B) {
 // BenchmarkJoins measures the two join algorithms over compressed
 // relations.
 func BenchmarkJoins(b *testing.B) {
+	ctx := context.Background()
 	schema, left, err := gen.Spec38Byte(8000, false, 9).Build()
 	if err != nil {
 		b.Fatal(err)
@@ -348,11 +352,11 @@ func BenchmarkJoins(b *testing.B) {
 		b.Fatal(err)
 	}
 	mk := func(rows []relation.Tuple) *table.Table {
-		tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ})
+		tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := tb.BulkLoad(rows); err != nil {
+		if err := tb.BulkLoadContext(ctx, rows); err != nil {
 			b.Fatal(err)
 		}
 		return tb
@@ -361,7 +365,7 @@ func BenchmarkJoins(b *testing.B) {
 	b.Run("merge-clustered", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := table.MergeJoin(lt, rt); err != nil {
+			if _, _, err := table.MergeJoinContext(ctx, lt, rt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -369,7 +373,7 @@ func BenchmarkJoins(b *testing.B) {
 	b.Run("hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := table.HashJoin(lt, rt, 1, 1); err != nil {
+			if _, _, err := table.HashJoinContext(ctx, lt, rt, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

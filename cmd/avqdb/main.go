@@ -237,10 +237,12 @@ func create(a args) error {
 	if a.hash {
 		kind = table.IndexHash
 	}
-	tb, err := table.Create(schema, table.Options{
-		Codec: codec, Path: a.db,
-		SecondaryAttrs: secondaries, SecondaryKind: kind,
-	})
+	tb, err := table.Create(schema,
+		table.WithCodec(codec),
+		table.WithPath(a.db),
+		table.WithSecondaryAttrs(secondaries...),
+		table.WithSecondaryKind(kind),
+	)
 	if err != nil {
 		return err
 	}
@@ -251,7 +253,7 @@ func create(a args) error {
 }
 
 func openDB(a args) (*table.Table, error) {
-	return table.Open(a.db, table.Options{})
+	return table.Open(a.db)
 }
 
 func load(ctx context.Context, a args) error {
@@ -443,7 +445,7 @@ func joinCmd(ctx context.Context, a args) error {
 		return err
 	}
 	defer left.Close()
-	right, err := table.Open(a.with, table.Options{})
+	right, err := table.Open(a.with)
 	if err != nil {
 		return err
 	}
@@ -594,19 +596,18 @@ func serve(ctx context.Context, a args) error {
 	if err := replayWorkload(ctx, tb); err != nil {
 		return errors.Join(err, tb.Close())
 	}
-	eng := table.NewSync(tb)
-	s := server.New(server.Config{Engine: eng, Obs: reg, Debug: true})
+	s := server.New(server.Config{Engine: tb, Obs: reg, Debug: true})
 	l, err := net.Listen("tcp", a.listen)
 	if err != nil {
-		return errors.Join(err, eng.Close())
+		return errors.Join(err, tb.Close())
 	}
 	fmt.Printf("serving /v1/query, /v1/mutate, /metrics, /slowops, /debug/pprof on %s (table %s: %d tuples, %d blocks)\n",
-		a.listen, a.db, eng.Len(), eng.NumBlocks())
+		a.listen, a.db, tb.Len(), tb.NumBlocks())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()
 	select {
 	case err := <-serveErr:
-		return errors.Join(err, eng.Close())
+		return errors.Join(err, tb.Close())
 	case <-ctx.Done():
 	}
 	fmt.Println("draining...")
@@ -615,7 +616,7 @@ func serve(ctx context.Context, a args) error {
 	drainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 30*time.Second)
 	defer cancel()
 	err = s.Shutdown(drainCtx)
-	err = errors.Join(err, <-serveErr, eng.Close())
+	err = errors.Join(err, <-serveErr, tb.Close())
 	if err != nil {
 		return err
 	}
@@ -629,7 +630,7 @@ func verify(a args) error {
 		return err
 	}
 	defer tb.Close()
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		return err
 	}
 	fmt.Printf("%s: OK — %d tuples, %d blocks, all invariants hold\n", a.db, tb.Len(), tb.NumBlocks())
@@ -659,7 +660,7 @@ func shardStatus(a args) error {
 	for i := 0; i < live.NumShards(); i++ {
 		lo, hi := live.RangeOf(i)
 		sh := db.Shard(i)
-		fmt.Printf("shard-%04d   [%5d,%5d] %10d %10d\n", i, lo, hi, sh.Len(), sh.Table().NumBlocks())
+		fmt.Printf("shard-%04d   [%5d,%5d] %10d %10d\n", i, lo, hi, sh.Len(), sh.NumBlocks())
 	}
 	fmt.Printf("total: %d tuples in %d blocks\n", db.Len(), db.NumBlocks())
 	if err := db.Check(); err != nil {

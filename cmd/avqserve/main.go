@@ -79,9 +79,9 @@ func main() {
 }
 
 // openEngine opens path as a sharded database when it is a directory
-// holding a shard catalog, and as a single-file table otherwise. The
-// table is wrapped in its Sync guard: the server runs handlers
-// concurrently, and the seam demands an engine that tolerates that.
+// holding a shard catalog, and as a single-file table otherwise. Both
+// are safe for concurrent use, which the server's concurrent handlers
+// demand of the seam.
 func openEngine(path string, reg *obs.Registry, slow time.Duration) (server.Engine, string, error) {
 	opts := []table.Option{table.WithObs(reg), table.WithSlowOpThreshold(slow)}
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
@@ -100,7 +100,7 @@ func openEngine(path string, reg *obs.Registry, slow time.Duration) (server.Engi
 	if err != nil {
 		return nil, "", err
 	}
-	return table.NewSync(tb), "single-file", nil
+	return tb, "single-file", nil
 }
 
 func run(db, listen string, cfg server.Config, slow, drainMax time.Duration) error {

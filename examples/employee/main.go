@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Raw rows hold strings; Section 3.1's attribute encoding maps them
 	// to ordinals through order-preserving dictionaries.
 	const n = 5000
@@ -28,15 +30,15 @@ func main() {
 	}
 	fmt.Printf("encoded %d employee rows; schema %s\n", len(tuples), schema)
 
-	tbl, err := table.Create(schema, table.Options{
-		Codec:          core.CodecAVQ,
-		PageSize:       2048,
-		SecondaryAttrs: []int{1, 4}, // job title and employee number
-	})
+	tbl, err := table.Create(schema,
+		table.WithCodec(core.CodecAVQ),
+		table.WithPageSize(2048),
+		table.WithSecondaryAttrs(1, 4), // job title and employee number
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tbl.BulkLoad(tuples); err != nil {
+	if err := tbl.BulkLoadContext(ctx, tuples); err != nil {
 		log.Fatal(err)
 	}
 	st, err := tbl.StoreStats()
@@ -52,7 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows, qs, err := tbl.SelectPoint(1, managerCode)
+	rows, qs, err := tbl.SelectPointContext(ctx, 1, managerCode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 
 	// Point lookup by employee number through its secondary index: the
 	// paper's sigma_{A5=34}(R) of Figure 4.5.
-	rows, qs, err = tbl.SelectPoint(4, 34)
+	rows, qs, err = tbl.SelectPointContext(ctx, 4, 34)
 	if err != nil {
 		log.Fatal(err)
 	}

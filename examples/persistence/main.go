@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "avq-persistence")
 	if err != nil {
 		log.Fatal(err)
@@ -34,19 +36,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tbl, err := table.Create(schema, table.Options{
-		Codec:          core.CodecAVQ,
-		Path:           path,
-		SecondaryAttrs: []int{1},
-	})
+	tbl, err := table.Create(schema,
+		table.WithCodec(core.CodecAVQ),
+		table.WithPath(path),
+		table.WithSecondaryAttrs(1),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tbl.BulkLoad(tuples); err != nil {
+	if err := tbl.BulkLoadContext(ctx, tuples); err != nil {
 		log.Fatal(err)
 	}
 	newHire := relation.Tuple{2, 5, 0, 40, uint64(n - 1)}
-	if err := tbl.Insert(newHire); err != nil {
+	if err := tbl.InsertContext(ctx, newHire); err != nil {
 		log.Fatal(err)
 	}
 	blocks := tbl.NumBlocks()
@@ -62,7 +64,7 @@ func main() {
 
 	// Reopen: schema, codec, layout, and secondary indexes come from the
 	// catalog; indexes rebuild in one pass over the compressed blocks.
-	reopened, err := table.Open(path, table.Options{})
+	reopened, err := table.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,14 +82,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	count, stats, err := reopened.CountRange(1, secCode, secCode)
+	count, stats, err := reopened.CountRangeContext(ctx, 1, secCode, secCode)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("secretaries: %d (via %s path, %d blocks read)\n",
 		count, stats.Strategy, stats.BlocksRead)
 
-	if err := reopened.CheckInvariants(); err != nil {
+	if err := reopened.Check(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("all invariants hold after reopen")

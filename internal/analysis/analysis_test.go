@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -73,7 +74,8 @@ func TestAnalyzersGolden(t *testing.T) {
 			rule: "ctxflow",
 			want: []string{
 				`ctxflow.go:20:23: context.Background() inside a function that already has a ctx parameter; thread "ctx" instead`,
-				`ctxflow.go:26:23: context.TODO() severs cancellation from every caller; accept a ctx parameter or mark this wrapper Deprecated`,
+				`ctxflow.go:26:23: context.TODO() severs cancellation from every caller; accept a ctx parameter instead`,
+				`ctxflow.go:32:23: context.Background() severs cancellation from every caller; accept a ctx parameter instead`,
 				`ctxflow.go:38:9: call to Scan drops the in-scope ctx; use ScanContext instead`,
 				`ctxflow.go:49:2: loop reads blocks but never consults "ctx"; check ctx.Err() between iterations or use a Context-aware read`,
 			},
@@ -302,5 +304,43 @@ func TestLoader(t *testing.T) {
 	}
 	if !strings.Contains(fix.Path, "testdata") {
 		t.Errorf("fixture path %q should be synthetic under testdata", fix.Path)
+	}
+}
+
+// TestLoadAllSkipsNestedModules checks LoadAll stops at a nested go.mod
+// the way the go command's ./... does: the nested module's package (here
+// one that does not even type-check) is not part of the walk.
+func TestLoadAllSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":           "module outer\n\ngo 1.22\n",
+		"a/a.go":           "package a\n\nfunc A() int { return 1 }\n",
+		"nested/go.mod":    "module nested\n\ngo 1.22\n",
+		"nested/b/b.go":    "package b\n\nfunc B() int { return undefined }\n",
+		"nested/nested.go": "package nested\n",
+	}
+	for name, body := range files {
+		p := filepath.Join(root, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
+	}
+	pkgs, err := l.LoadAll(root)
+	if err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+	}
+	if len(paths) != 1 || paths[0] != "outer/a" {
+		t.Fatalf("LoadAll loaded %v, want [outer/a]", paths)
 	}
 }

@@ -18,10 +18,9 @@ import (
 //
 //  1. context.Background()/TODO() inside a function that already has a
 //     ctx parameter: the fresh context shadows the caller's.
-//  2. context.Background()/TODO() in any other non-Deprecated function
-//     (outside package main): legacy compatibility wrappers are the only
-//     sanctioned place to mint a root context, and they must say
-//     "Deprecated:" in their doc comment.
+//  2. context.Background()/TODO() in any other function outside package
+//     main: only main mints root contexts. A library function that must
+//     start detached work says why with //avqlint:ignore ctxflow.
 //  3. A call to f(...) or recv.M(...) from a ctx-holding function when a
 //     fContext/MContext sibling exists: the ctx was available and dropped.
 //  4. A loop in a ctx-holding function that reads blocks (a call whose
@@ -41,7 +40,6 @@ func runCtxFlow(pass *Pass) {
 
 func analyzeCtxFunc(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 	ctxObj, ctxName := ctxParam(pass, fd)
-	deprecated := fd.Doc != nil && strings.Contains(fd.Doc.Text(), "Deprecated:")
 	inMain := file.Name.Name == "main" || fd.Name.Name == "main"
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -55,9 +53,9 @@ func analyzeCtxFunc(pass *Pass, file *ast.File, fd *ast.FuncDecl) {
 				pass.Report(call.Pos(),
 					"context.%s() inside a function that already has a ctx parameter; thread %q instead",
 					name, ctxName)
-			case !deprecated && !inMain:
+			case !inMain:
 				pass.Report(call.Pos(),
-					"context.%s() severs cancellation from every caller; accept a ctx parameter or mark this wrapper Deprecated",
+					"context.%s() severs cancellation from every caller; accept a ctx parameter instead",
 					name)
 			}
 			return true

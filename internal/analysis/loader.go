@@ -193,8 +193,9 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 // LoadAll loads every package under root (which must lie inside the
-// module), skipping testdata, hidden, and Go-ignored directories, and
-// returns the packages sorted by import path.
+// module), skipping testdata, hidden, and Go-ignored directories and, as
+// the go command's ./... does, nested modules (directories with their own
+// go.mod). It returns the packages sorted by import path.
 func (l *Loader) LoadAll(root string) ([]*Package, error) {
 	abs, err := filepath.Abs(root)
 	if err != nil {
@@ -208,6 +209,9 @@ func (l *Loader) LoadAll(root string) ([]*Package, error) {
 		if d.IsDir() {
 			name := d.Name()
 			if p != abs && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); p != abs && err == nil {
 				return filepath.SkipDir
 			}
 			return nil

@@ -20,15 +20,15 @@ func freshInCtxFunc(ctx context.Context, s *store) error {
 	return s.ScanContext(context.Background(), nil)
 }
 
-// freshInPlainFunc severs cancellation without the Deprecated marker that
-// sanctions a compatibility wrapper.
+// freshInPlainFunc severs cancellation in a function with no ctx
+// parameter.
 func freshInPlainFunc(s *store) error {
 	return s.ScanContext(context.TODO(), nil)
 }
 
-// Deprecated: use ScanContext directly; this wrapper is the sanctioned
-// place for a root context.
-func goodDeprecated(s *store) error {
+// Deprecated: use ScanContext directly. The marker does not sanction a
+// root context: a compatibility wrapper is a finding like any other.
+func deprecatedWrapper(s *store) error {
 	return s.ScanContext(context.Background(), nil)
 }
 

@@ -103,6 +103,7 @@ func TestPagerBasics(t *testing.T) {
 }
 
 func TestPagerDeferredFree(t *testing.T) {
+	ctx := context.Background()
 	store := backend.NewMemoryStore()
 	defer store.Close()
 	p := newPager(t, store, "t", 32)
@@ -121,12 +122,12 @@ func TestPagerDeferredFree(t *testing.T) {
 	if err := p.Read(id, buf); !errors.Is(err, storage.ErrPageFreed) {
 		t.Fatalf("read deferred-freed = %v", err)
 	}
-	keys, _ := store.List(context.Background(), "")
+	keys, _ := store.List(ctx, "")
 	if len(keys) != 1 {
 		t.Fatalf("deferred free deleted the object: %v", keys)
 	}
 	p.ReleasePending()
-	keys, _ = store.List(context.Background(), "")
+	keys, _ = store.List(ctx, "")
 	if len(keys) != 0 {
 		t.Fatalf("release kept objects: %v", keys)
 	}
@@ -179,6 +180,7 @@ func TestPagerReopenRecoversHighWaterMark(t *testing.T) {
 // same store, and query — the full injected-pager path the shard layer's
 // object kind uses.
 func TestTableOverBackendPager(t *testing.T) {
+	ctx := context.Background()
 	store := backend.NewMemoryStore()
 	defer store.Close()
 	schema := relation.MustSchema(
@@ -206,7 +208,7 @@ func TestTableOverBackendPager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	wantLen, wantBlocks := tb.Len(), tb.NumBlocks()
@@ -226,10 +228,10 @@ func TestTableOverBackendPager(t *testing.T) {
 	if got.Len() != wantLen || got.NumBlocks() != wantBlocks {
 		t.Fatalf("reopened len/blocks = %d/%d, want %d/%d", got.Len(), got.NumBlocks(), wantLen, wantBlocks)
 	}
-	if err := got.CheckInvariants(); err != nil {
+	if err := got.Check(); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := got.SelectRange(0, 2, 5)
+	rows, _, err := got.SelectRangeContext(ctx, 0, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestTableOverBackendPager(t *testing.T) {
 	// Mutate, checkpoint, reattach again: deferred frees must release
 	// only after the durable catalog, and the state must round-trip.
 	extra := relation.Tuple{3, 3, 3, 3}
-	if err := got.Insert(extra); err != nil {
+	if err := got.InsertContext(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
 	if err := got.Checkpoint(); err != nil {

@@ -64,7 +64,7 @@ type BlockRef struct {
 // Store is a clustered, coded block store. It is not safe for concurrent
 // mutation; the table layer serializes mutations. Readers are safe
 // concurrently with a mutation when they hold a Snapshot (or go through
-// ScanBlocks/ComputeStats, which take one internally); bare ReadBlock
+// ScanBlocksContext/ComputeStats, which take one internally); bare ReadBlock
 // calls remain safe only between mutations, as before.
 type Store struct {
 	schema *relation.Schema
@@ -211,22 +211,15 @@ func (s *Store) Restore(blocks []storage.PageID) error {
 	return nil
 }
 
-// BulkLoad replaces the store's contents with the given tuples, which must
-// already be sorted in phi order (use Schema.SortTuples). Blocks are packed
-// greedily to the page capacity, the paper's "minimize unused space" rule.
-// It returns a BlockRef per block, in clustered order. The new layout is
-// published once at the end, so concurrent snapshot readers see either the
-// empty store or the complete load.
-//
-// Deprecated: use BulkLoadContext.
-func (s *Store) BulkLoad(tuples []relation.Tuple) ([]BlockRef, error) {
-	return s.BulkLoadContext(context.Background(), tuples)
-}
-
-// BulkLoadContext is BulkLoad under a context: cancellation is honored at
-// block boundaries, so a cancelled load stops before the next encode with
-// no frames pinned. Pages already written stay tracked by the published
-// partial manifest, so Reset can reclaim them.
+// BulkLoadContext replaces the store's contents with the given tuples,
+// which must already be sorted in phi order (use Schema.SortTuples).
+// Blocks are packed greedily to the page capacity, the paper's "minimize
+// unused space" rule. It returns a BlockRef per block, in clustered order.
+// The new layout is published once at the end, so concurrent snapshot
+// readers see either the empty store or the complete load. Cancellation
+// is honored at block boundaries, so a cancelled load stops before the
+// next encode with no frames pinned. Pages already written stay tracked
+// by the published partial manifest, so Reset can reclaim them.
 func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([]BlockRef, error) {
 	if !s.schema.TuplesSorted(tuples) {
 		return nil, errors.New("blockstore: bulk load input not in phi order")
@@ -270,20 +263,13 @@ func (s *Store) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) ([
 	return refs, nil
 }
 
-// BulkLoadStream is BulkLoad for sources too large to materialize: it
-// pulls phi-ordered tuples from next (which returns ok=false when dry) and
-// packs blocks incrementally, holding only a small buffering window in
-// memory. Used with the external sorter it loads relations of any size.
-//
-// Deprecated: use BulkLoadStreamContext.
-func (s *Store) BulkLoadStream(next func() (relation.Tuple, bool, error)) ([]BlockRef, error) {
-	return s.BulkLoadStreamContext(context.Background(), next)
-}
-
-// BulkLoadStreamContext is BulkLoadStream under a context: cancellation
-// is checked once per window before the next pull-and-pack round, so an
-// abandoned stream load stops without pinned frames; the partial manifest
-// is published for Reset to reclaim.
+// BulkLoadStreamContext is BulkLoadContext for sources too large to
+// materialize: it pulls phi-ordered tuples from next (which returns
+// ok=false when dry) and packs blocks incrementally, holding only a small
+// buffering window in memory. Used with the external sorter it loads
+// relations of any size. Cancellation is checked once per window before
+// the next pull-and-pack round, so an abandoned stream load stops without
+// pinned frames; the partial manifest is published for Reset to reclaim.
 func (s *Store) BulkLoadStreamContext(ctx context.Context, next func() (relation.Tuple, bool, error)) ([]BlockRef, error) {
 	if s.NumBlocks() != 0 {
 		return nil, errors.New("blockstore: bulk load into non-empty store")
@@ -760,7 +746,7 @@ func (s *Store) splitBlock(m *manifest, id storage.PageID, tuples []relation.Tup
 }
 
 // Reset frees every block page and empties the store, leaving it ready for
-// a fresh BulkLoad. Compaction uses it to tear down the old layout.
+// a fresh BulkLoadContext. Compaction uses it to tear down the old layout.
 func (s *Store) Reset() error {
 	old := s.man.Load()
 	s.man.Store(newManifest())
@@ -783,21 +769,14 @@ func (s *Store) NextBlock(id storage.PageID) (storage.PageID, bool) {
 	return m.blocks[at+1], true
 }
 
-// ScanBlocks visits every block in clustered order, decoding each. fn
-// returning false stops the scan. With Concurrency > 1 blocks are
+// ScanBlocksContext visits every block in clustered order, decoding each.
+// fn returning false stops the scan. With Concurrency > 1 blocks are
 // prefetched and decoded on a worker pool, but fn still observes them
 // strictly in clustered order, one at a time. The scan holds a Snapshot
 // for its duration, so it streams a consistent view even while another
-// goroutine mutates the store.
-//
-// Deprecated: use ScanBlocksContext.
-func (s *Store) ScanBlocks(fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
-	return s.ScanBlocksContext(context.Background(), fn)
-}
-
-// ScanBlocksContext is ScanBlocks under a context: cancellation is
-// checked at every block boundary, before the next decode, so an aborted
-// scan returns with no frames pinned.
+// goroutine mutates the store. Cancellation is checked at every block
+// boundary, before the next decode, so an aborted scan returns with no
+// frames pinned.
 func (s *Store) ScanBlocksContext(ctx context.Context, fn func(id storage.PageID, tuples []relation.Tuple) bool) error {
 	sn := s.Snapshot()
 	defer sn.Release()
@@ -849,7 +828,7 @@ func (st Stats) StreamSavingsPercent() float64 {
 }
 
 // ComputeStats walks the store and returns its layout statistics. With
-// Concurrency > 1 blocks are inspected on a worker pool. Like ScanBlocks
+// Concurrency > 1 blocks are inspected on a worker pool. Like ScanBlocksContext
 // it works over one pinned snapshot.
 func (s *Store) ComputeStats() (Stats, error) {
 	sn := s.Snapshot()

@@ -16,7 +16,7 @@ import (
 func TestErrCorruptBlock(t *testing.T) {
 	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
 	tuples := pipelineTuples(t, 2000, 7)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Flush(); err != nil {
@@ -54,7 +54,7 @@ func TestErrCorruptBlock(t *testing.T) {
 // which fails before the codec ever sees the stream.
 func TestErrCorruptBlockHeader(t *testing.T) {
 	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
-	if _, err := s.BulkLoad(pipelineTuples(t, 500, 8)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 500, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Flush(); err != nil {
@@ -86,7 +86,7 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 // the sentinel instead of touching possibly recycled pages.
 func TestErrSnapshotStale(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
-	if _, err := s.BulkLoad(randomTuples(t, 500, 9)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 500, 9)); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -124,7 +124,7 @@ func TestBulkLoadContextCancelled(t *testing.T) {
 func TestScanBlocksContextCancelled(t *testing.T) {
 	for _, conc := range []int{1, 4} {
 		s, _, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: conc})
-		if _, err := s.BulkLoad(pipelineTuples(t, 4000, 11)); err != nil {
+		if _, err := s.BulkLoadContext(context.Background(), pipelineTuples(t, 4000, 11)); err != nil {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())

@@ -30,10 +30,11 @@ import (
 // Config tunes the store's concurrency. The zero value is the serial
 // reference configuration.
 type Config struct {
-	// Concurrency is the number of codec workers used by BulkLoad,
-	// BulkLoadStream, ScanBlocks, and ComputeStats. Values <= 1 select the
-	// serial path. The effective scan fan-out is additionally clamped to
-	// the buffer pool's capacity so workers cannot pin every frame.
+	// Concurrency is the number of codec workers used by BulkLoadContext,
+	// BulkLoadStreamContext, ScanBlocksContext, and ComputeStats. Values
+	// <= 1 select the serial path. The effective scan fan-out is
+	// additionally clamped to the buffer pool's capacity so workers cannot
+	// pin every frame.
 	Concurrency int
 	// CacheBlocks is the capacity, in blocks, of the decoded-block LRU
 	// cache consulted by ReadBlock and the scan pipeline. 0 disables it.
@@ -305,7 +306,7 @@ func (s *Store) commitChunks(ctx context.Context, m *manifest, chunks [][]relati
 	return refs, nil
 }
 
-// bulkLoadParallel is the pipelined BulkLoad body for additive codecs. The
+// bulkLoadParallel is the pipelined BulkLoadContext body for additive codecs. The
 // caller has validated ordering and emptiness and publishes m.
 func (s *Store) bulkLoadParallel(ctx context.Context, m *manifest, z *core.Sizer, tuples []relation.Tuple) ([]BlockRef, error) {
 	if len(tuples) == 0 {

@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -84,18 +85,19 @@ func pageImages(t *testing.T, s *Store, pager *storage.MemPager, pool *buffer.Po
 // load must produce the same block boundaries, the same page ids, and the
 // same page bytes as the serial reference path.
 func TestBulkLoadParallelByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	const pageSize = 512
 	tuples := pipelineTuples(t, 5000, 42)
 	for _, codec := range []core.Codec{core.CodecAVQ, core.CodecDeltaChain, core.CodecPacked, core.CodecRaw, core.CodecRepOnly} {
 		ref, refPager, refPool := pipelineStore(t, codec, pageSize, 64, Config{})
-		refRefs, err := ref.BulkLoad(tuples)
+		refRefs, err := ref.BulkLoadContext(ctx, tuples)
 		if err != nil {
 			t.Fatalf("%v serial: %v", codec, err)
 		}
 		want := pageImages(t, ref, refPager, refPool)
 		for conc := 1; conc <= 8; conc++ {
 			s, pager, pool := pipelineStore(t, codec, pageSize, 64, Config{Concurrency: conc})
-			refs, err := s.BulkLoad(tuples)
+			refs, err := s.BulkLoadContext(ctx, tuples)
 			if err != nil {
 				t.Fatalf("%v conc=%d: %v", codec, conc, err)
 			}
@@ -124,6 +126,7 @@ func TestBulkLoadParallelByteIdentical(t *testing.T) {
 // through the streaming loader, with a window small enough to force many
 // refill-and-chunk rounds.
 func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
+	ctx := context.Background()
 	const pageSize = 512
 	tuples := pipelineTuples(t, 4000, 7)
 	streamOf := func() func() (relation.Tuple, bool, error) {
@@ -138,13 +141,13 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 		}
 	}
 	ref, refPager, refPool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{})
-	if _, err := ref.BulkLoadStream(streamOf()); err != nil {
+	if _, err := ref.BulkLoadStreamContext(ctx, streamOf()); err != nil {
 		t.Fatal(err)
 	}
 	want := pageImages(t, ref, refPager, refPool)
 	for conc := 2; conc <= 8; conc *= 2 {
 		s, pager, pool := pipelineStore(t, core.CodecAVQ, pageSize, 64, Config{Concurrency: conc})
-		if _, err := s.BulkLoadStream(streamOf()); err != nil {
+		if _, err := s.BulkLoadStreamContext(ctx, streamOf()); err != nil {
 			t.Fatalf("conc=%d: %v", conc, err)
 		}
 		got := pageImages(t, s, pager, pool)
@@ -162,9 +165,10 @@ func TestBulkLoadStreamParallelByteIdentical(t *testing.T) {
 // TestScanBlocksParallelOrderAndEarlyStop verifies the parallel scan
 // delivers blocks in clustered order and honors an early stop.
 func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
+	ctx := context.Background()
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 8})
 	tuples := pipelineTuples(t, 3000, 11)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	want := s.Blocks()
@@ -173,7 +177,7 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 	}
 	var got []storage.PageID
 	count := 0
-	if err := s.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(ctx, func(id storage.PageID, ts []relation.Tuple) bool {
 		got = append(got, id)
 		count += len(ts)
 		return true
@@ -193,7 +197,7 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 	}
 	// Early stop after 3 blocks.
 	visited := 0
-	if err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(ctx, func(storage.PageID, []relation.Tuple) bool {
 		visited++
 		return visited < 3
 	}); err != nil {
@@ -207,13 +211,14 @@ func TestScanBlocksParallelOrderAndEarlyStop(t *testing.T) {
 // TestScanBlocksParallelSmallPool verifies the scan fan-out is clamped so
 // decode workers cannot pin every frame of a tiny pool.
 func TestScanBlocksParallelSmallPool(t *testing.T) {
+	ctx := context.Background()
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 3, Config{Concurrency: 16})
 	tuples := pipelineTuples(t, 2000, 3)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	if err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(ctx, func(_ storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
 		return true
 	}); err != nil {
@@ -226,9 +231,10 @@ func TestScanBlocksParallelSmallPool(t *testing.T) {
 
 // TestComputeStatsParallelMatchesSerial checks the two stats paths agree.
 func TestComputeStatsParallelMatchesSerial(t *testing.T) {
+	ctx := context.Background()
 	tuples := pipelineTuples(t, 3000, 5)
 	serial, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{})
-	if _, err := serial.BulkLoad(tuples); err != nil {
+	if _, err := serial.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	want, err := serial.ComputeStats()
@@ -236,7 +242,7 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 6})
-	if _, err := par.BulkLoad(tuples); err != nil {
+	if _, err := par.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	got, err := par.ComputeStats()
@@ -253,7 +259,7 @@ func TestComputeStatsParallelMatchesSerial(t *testing.T) {
 func TestDecodedBlockCache(t *testing.T) {
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
 	tuples := pipelineTuples(t, 2000, 9)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
@@ -310,9 +316,10 @@ func TestDecodedBlockCache(t *testing.T) {
 // TestCacheRecycledPageID drives a rewrite loop that recycles freed page
 // ids and verifies reads through the cache never serve stale contents.
 func TestCacheRecycledPageID(t *testing.T) {
+	ctx := context.Background()
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{CacheBlocks: 64})
 	tuples := pipelineTuples(t, 600, 21)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -331,7 +338,7 @@ func TestCacheRecycledPageID(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	if err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+	if err := s.ScanBlocksContext(ctx, func(_ storage.PageID, ts []relation.Tuple) bool {
 		total += len(ts)
 		return true
 	}); err != nil {
@@ -347,9 +354,10 @@ func TestCacheRecycledPageID(t *testing.T) {
 // blocks (invalidating entries), under the same reader/writer locking the
 // table layer provides.
 func TestConcurrentScanVsRewriteRace(t *testing.T) {
+	ctx := context.Background()
 	s, _, _ := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4, CacheBlocks: 32})
 	tuples := pipelineTuples(t, 2000, 13)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.RWMutex
@@ -363,7 +371,7 @@ func TestConcurrentScanVsRewriteRace(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				mu.RLock()
 				n := 0
-				err := s.ScanBlocks(func(_ storage.PageID, ts []relation.Tuple) bool {
+				err := s.ScanBlocksContext(ctx, func(_ storage.PageID, ts []relation.Tuple) bool {
 					n += len(ts)
 					return rng.Intn(10) != 0 // sometimes stop early
 				})
@@ -448,7 +456,7 @@ func TestSplitBlockRollbackOnFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples := pipelineTuples(t, 800, 17)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	id := s.Blocks()[0]
@@ -581,7 +589,7 @@ func TestEmptyStoreStats(t *testing.T) {
 			t.Fatalf("conc=%d: empty StreamSavingsPercent = %v, want 0", conc, p)
 		}
 		visited := 0
-		if err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool {
+		if err := s.ScanBlocksContext(context.Background(), func(storage.PageID, []relation.Tuple) bool {
 			visited++
 			return true
 		}); err != nil {
@@ -596,9 +604,10 @@ func TestEmptyStoreStats(t *testing.T) {
 // TestParallelErrorReporting checks a decode failure mid-store surfaces
 // from the parallel scan (and stops it) just as it would serially.
 func TestParallelErrorReporting(t *testing.T) {
+	ctx := context.Background()
 	s, pager, pool := pipelineStore(t, core.CodecAVQ, 512, 64, Config{Concurrency: 4})
 	tuples := pipelineTuples(t, 2000, 31)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.Flush(); err != nil {
@@ -617,7 +626,7 @@ func TestParallelErrorReporting(t *testing.T) {
 	if err := pager.Write(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	err := s.ScanBlocks(func(storage.PageID, []relation.Tuple) bool { return true })
+	err := s.ScanBlocksContext(ctx, func(storage.PageID, []relation.Tuple) bool { return true })
 	if err == nil {
 		t.Fatal("scan of corrupted store succeeded")
 	}
@@ -655,7 +664,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 					b.Fatal(err)
 				}
 				s.Configure(Config{Concurrency: conc})
-				if _, err := s.BulkLoad(tuples); err != nil {
+				if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package blockstore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -13,7 +14,7 @@ import (
 func TestSnapshotIsolation(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 600, 61)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -59,7 +60,7 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestSnapshotDefersFrees(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	s.Configure(Config{CacheBlocks: 16})
-	if _, err := s.BulkLoad(randomTuples(t, 600, 62)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 600, 62)); err != nil {
 		t.Fatal(err)
 	}
 	sn1 := s.Snapshot()
@@ -96,7 +97,7 @@ func TestSnapshotDefersFrees(t *testing.T) {
 func TestSnapshotSurvivesReset(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 400, 63)
-	if _, err := s.BulkLoad(tuples); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Snapshot()
@@ -125,7 +126,7 @@ func TestSnapshotSurvivesReset(t *testing.T) {
 // hands back the ones it saw while rebuilding indexes.
 func TestAdoptFences(t *testing.T) {
 	s := newStore(t, core.CodecAVQ, 512)
-	if _, err := s.BulkLoad(randomTuples(t, 500, 64)); err != nil {
+	if _, err := s.BulkLoadContext(context.Background(), randomTuples(t, 500, 64)); err != nil {
 		t.Fatal(err)
 	}
 	blocks := s.Blocks()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -11,6 +12,7 @@ import (
 // Transient pass (pooled arena, Reset per block) must stream exactly the
 // same tuple values as the default pass, for every codec and plan shape.
 func TestTransientMatchesNonTransient(t *testing.T) {
+	ctx := context.Background()
 	tuples := randomTuples(t, 1200, 33)
 	plans := []Plan{
 		{},
@@ -23,7 +25,7 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -35,7 +37,7 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 				// Fold values instead of retaining tuples: the transient
 				// contract.
 				var gotSums []uint64
-				st, err := Run(sn, tp, func(tu relation.Tuple) bool {
+				st, err := RunContext(ctx, sn, tp, func(tu relation.Tuple) bool {
 					var sum uint64
 					for _, v := range tu {
 						sum = sum*31 + v
@@ -70,15 +72,16 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 // pass reuses its pooled arena, and a straddling clustered bound on a
 // flat schema takes the flat-ordinal span path.
 func TestTransientStats(t *testing.T) {
+	ctx := context.Background()
 	tuples := randomTuples(t, 1500, 34)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 
-	st, err := Run(sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
+	st, err := RunContext(ctx, sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +100,7 @@ func TestTransientStats(t *testing.T) {
 	if _, ok := sn.Schema().FlatWeights(); !ok {
 		t.Fatal("test schema unexpectedly non-flat")
 	}
-	st, err = Run(sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(relation.Tuple) bool { return true })
+	st, err = RunContext(ctx, sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(relation.Tuple) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,16 +117,17 @@ func TestTransientStats(t *testing.T) {
 // transient pass: independent of block count, since every block reuses
 // the pooled arena and the stream buffer.
 func TestTransientPassAllocs(t *testing.T) {
+	ctx := context.Background()
 	tuples := randomTuples(t, 3000, 35)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}, Transient: true}
 	run := func() {
-		if _, err := Run(sn, plan, func(relation.Tuple) bool { return true }); err != nil {
+		if _, err := RunContext(ctx, sn, plan, func(relation.Tuple) bool { return true }); err != nil {
 			t.Fatal(err)
 		}
 	}

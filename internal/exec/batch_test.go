@@ -32,6 +32,7 @@ func phisOf(t *testing.T, s *relation.Schema, tuples []relation.Tuple) []uint64 
 // codec and plan shape: same snapshot, same plan, the concatenated slabs
 // must be exactly the φ sequence of the tuples Run emits.
 func TestRunBatchMatchesRun(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 21)
 	plans := []Plan{
@@ -47,7 +48,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -56,7 +57,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 				ref, _ := collect(t, sn, plan)
 				want := phisOf(t, s, ref)
 				var got []uint64
-				st, err := RunBatch(context.Background(), sn, plan, func(phis []uint64) bool {
+				st, err := RunBatch(ctx, sn, plan, func(phis []uint64) bool {
 					got = append(got, phis...)
 					return true
 				})
@@ -89,15 +90,16 @@ func TestRunBatchMatchesRun(t *testing.T) {
 // exactly as the tuple path does, and a false-returning kernel must stop
 // the pass after one slab.
 func TestRunBatchPrunesAndStops(t *testing.T) {
+	ctx := context.Background()
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 3000, 7)); err != nil {
+	if _, err := store.BulkLoadContext(ctx, randomTuples(t, 3000, 7)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}}
-	st, err := RunBatch(context.Background(), sn, plan, func([]uint64) bool { return true })
+	st, err := RunBatch(ctx, sn, plan, func([]uint64) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestRunBatchPrunesAndStops(t *testing.T) {
 		t.Errorf("pruned %d + visited %d != total %d", st.BlocksPruned, st.BatchBlocks, st.BlocksTotal)
 	}
 
-	st, err = RunBatch(context.Background(), sn, Plan{}, func([]uint64) bool { return false })
+	st, err = RunBatch(ctx, sn, Plan{}, func([]uint64) bool { return false })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,6 +122,7 @@ func TestRunBatchPrunesAndStops(t *testing.T) {
 // TestRunBatchNonFlat: a schema space beyond 64 bits must be refused with
 // ErrNotFlat so callers fall back to the tuple path.
 func TestRunBatchNonFlat(t *testing.T) {
+	ctx := context.Background()
 	wide := relation.MustSchema(
 		relation.Domain{Name: "a", Size: 1 << 40},
 		relation.Domain{Name: "b", Size: 1 << 40},
@@ -136,15 +139,15 @@ func TestRunBatchNonFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.BulkLoad([]relation.Tuple{{1, 2}, {3, 4}}); err != nil {
+	if _, err := store.BulkLoadContext(ctx, []relation.Tuple{{1, 2}, {3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
-	if _, err := RunBatch(context.Background(), sn, Plan{}, func([]uint64) bool { return true }); !errors.Is(err, ErrNotFlat) {
+	if _, err := RunBatch(ctx, sn, Plan{}, func([]uint64) bool { return true }); !errors.Is(err, ErrNotFlat) {
 		t.Errorf("RunBatch on non-flat schema: err = %v, want ErrNotFlat", err)
 	}
-	if _, err := NewBatchIterator(context.Background(), store.Snapshot()); !errors.Is(err, ErrNotFlat) {
+	if _, err := NewBatchIterator(ctx, store.Snapshot()); !errors.Is(err, ErrNotFlat) {
 		t.Errorf("NewBatchIterator on non-flat schema: err = %v, want ErrNotFlat", err)
 	}
 }
@@ -168,16 +171,17 @@ func drainPhis(t *testing.T, ps PhiStream) []uint64 {
 // TestBatchIteratorMatchesIterator: the slab stream's concatenation must
 // be the tuple iterator's φ sequence, for every codec.
 func TestBatchIteratorMatchesIterator(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 77)
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 				t.Fatal(err)
 			}
 			want := phisOf(t, s, tuples)
-			it, err := NewBatchIterator(context.Background(), store.Snapshot())
+			it, err := NewBatchIterator(ctx, store.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,16 +203,17 @@ func TestBatchIteratorMatchesIterator(t *testing.T) {
 // deliver every ordinal >= target (the first slab may carry a smaller
 // prefix — consumers clip in-slab), and fence-known seeks must prune.
 func TestBatchIteratorSeekPhi(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 3000, 13)
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	all := phisOf(t, s, tuples)
 	for _, at := range []int{0, 1, len(all) / 3, len(all) / 2, len(all) - 1} {
 		target := all[at]
-		it, err := NewBatchIterator(context.Background(), store.Snapshot())
+		it, err := NewBatchIterator(ctx, store.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +249,7 @@ func TestBatchIteratorSeekPhi(t *testing.T) {
 	}
 
 	// Seeking past the end terminates the stream.
-	it, err := NewBatchIterator(context.Background(), store.Snapshot())
+	it, err := NewBatchIterator(ctx, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +266,7 @@ func TestBatchIteratorSeekPhi(t *testing.T) {
 // disjoint attribute-0 ranges, chained, must stream as one table — and a
 // seek raised in the first shard's range must carry into the second.
 func TestChainPhiStreams(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 5)
 	var low, high []relation.Tuple
@@ -272,18 +278,18 @@ func TestChainPhiStreams(t *testing.T) {
 		}
 	}
 	storeA, storeB := newStore(t, core.CodecAVQ, 512), newStore(t, core.CodecAVQ, 512)
-	if _, err := storeA.BulkLoad(low); err != nil {
+	if _, err := storeA.BulkLoadContext(ctx, low); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storeB.BulkLoad(high); err != nil {
+	if _, err := storeB.BulkLoadContext(ctx, high); err != nil {
 		t.Fatal(err)
 	}
-	itA, err := NewBatchIterator(context.Background(), storeA.Snapshot())
+	itA, err := NewBatchIterator(ctx, storeA.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer itA.Release()
-	itB, err := NewBatchIterator(context.Background(), storeB.Snapshot())
+	itB, err := NewBatchIterator(ctx, storeB.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,6 +333,7 @@ func TestChainPhiStreams(t *testing.T) {
 // interest (same codec both sides is representative; the streams are
 // codec-blind once decoded).
 func TestMergeJoinPhis(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	left := randomTuples(t, 900, 31)
 	right := randomTuples(t, 700, 32)
@@ -347,18 +354,18 @@ func TestMergeJoinPhis(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			ls, rs := newStore(t, codec, 512), newStore(t, codec, 512)
-			if _, err := ls.BulkLoad(left); err != nil {
+			if _, err := ls.BulkLoadContext(ctx, left); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rs.BulkLoad(right); err != nil {
+			if _, err := rs.BulkLoadContext(ctx, right); err != nil {
 				t.Fatal(err)
 			}
-			li, err := NewBatchIterator(context.Background(), ls.Snapshot())
+			li, err := NewBatchIterator(ctx, ls.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer li.Release()
-			ri, err := NewBatchIterator(context.Background(), rs.Snapshot())
+			ri, err := NewBatchIterator(ctx, rs.Snapshot())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,20 +407,21 @@ func TestMergeJoinPhis(t *testing.T) {
 // TestMergeJoinPhisEdgeCases: an empty side joins to nothing, and a
 // false-returning emit stops after one group.
 func TestMergeJoinPhisEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	w, _ := s.FlatWeights()
 	full := newStore(t, core.CodecAVQ, 512)
-	if _, err := full.BulkLoad(randomTuples(t, 500, 3)); err != nil {
+	if _, err := full.BulkLoadContext(ctx, randomTuples(t, 500, 3)); err != nil {
 		t.Fatal(err)
 	}
 	empty := newStore(t, core.CodecAVQ, 512)
 
-	fi, err := NewBatchIterator(context.Background(), full.Snapshot())
+	fi, err := NewBatchIterator(ctx, full.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fi.Release()
-	ei, err := NewBatchIterator(context.Background(), empty.Snapshot())
+	ei, err := NewBatchIterator(ctx, empty.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,12 +437,12 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 		t.Errorf("join against empty stream emitted %d groups", calls)
 	}
 
-	ai, err := NewBatchIterator(context.Background(), full.Snapshot())
+	ai, err := NewBatchIterator(ctx, full.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ai.Release()
-	bi, err := NewBatchIterator(context.Background(), full.Snapshot())
+	bi, err := NewBatchIterator(ctx, full.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,26 +464,27 @@ func TestMergeJoinPhisEdgeCases(t *testing.T) {
 // Horner fold path) and the pooled arena sized, NextPhis performs zero
 // heap allocations per block.
 func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
+	ctx := context.Background()
 	store := newStore(t, core.CodecAVQ, 512)
 	store.Configure(blockstore.Config{CacheBlocks: 512})
-	if _, err := store.BulkLoad(randomTuples(t, 6000, 91)); err != nil {
+	if _, err := store.BulkLoadContext(ctx, randomTuples(t, 6000, 91)); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the decoded-block cache via the tuple path (batch misses do not
 	// populate it) and size the pooled arena with one full batch drain.
 	sn := store.Snapshot()
-	if _, err := Run(sn, Plan{Transient: true}, func(relation.Tuple) bool { return true }); err != nil {
+	if _, err := RunContext(ctx, sn, Plan{Transient: true}, func(relation.Tuple) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
 	sn.Release()
-	warm, err := NewBatchIterator(context.Background(), store.Snapshot())
+	warm, err := NewBatchIterator(ctx, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	drainPhis(t, warm)
 	warm.Release()
 
-	it, err := NewBatchIterator(context.Background(), store.Snapshot())
+	it, err := NewBatchIterator(ctx, store.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,8 +517,9 @@ func TestBatchIteratorZeroAllocSteadyState(t *testing.T) {
 // TestRunBatchAllocsBounded mirrors TestTransientPassAllocs for the batch
 // pass: O(1) bookkeeping per pass, nothing per block or per row.
 func TestRunBatchAllocsBounded(t *testing.T) {
+	ctx := context.Background()
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 3000, 35)); err != nil {
+	if _, err := store.BulkLoadContext(ctx, randomTuples(t, 3000, 35)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -517,7 +527,7 @@ func TestRunBatchAllocsBounded(t *testing.T) {
 	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}}
 	kernel := func([]uint64) bool { return true }
 	run := func() {
-		if _, err := RunBatch(context.Background(), sn, plan, kernel); err != nil {
+		if _, err := RunBatch(ctx, sn, plan, kernel); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func naiveSelect(tuples []relation.Tuple, preds []Pred) []relation.Tuple {
 func collect(t *testing.T, sn *blockstore.Snapshot, plan Plan) ([]relation.Tuple, Stats) {
 	t.Helper()
 	var out []relation.Tuple
-	st, err := Run(sn, plan, func(tu relation.Tuple) bool {
+	st, err := RunContext(context.Background(), sn, plan, func(tu relation.Tuple) bool {
 		out = append(out, tu)
 		return true
 	})
@@ -101,7 +102,7 @@ func TestRunMatchesNaive(t *testing.T) {
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
 			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoad(tuples); err != nil {
+			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 				t.Fatal(err)
 			}
 			sn := store.Snapshot()
@@ -137,7 +138,7 @@ func TestRunMatchesNaive(t *testing.T) {
 func TestRunPrunesAndPartialDecodes(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 4000, 22)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -165,7 +166,7 @@ func TestRunPrunesAndPartialDecodes(t *testing.T) {
 func TestRunCandidates(t *testing.T) {
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 2000, 23)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
@@ -182,14 +183,15 @@ func TestRunCandidates(t *testing.T) {
 
 // TestRunEarlyStop: emit returning false must end the pass immediately.
 func TestRunEarlyStop(t *testing.T) {
+	ctx := context.Background()
 	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoad(randomTuples(t, 2000, 24)); err != nil {
+	if _, err := store.BulkLoadContext(ctx, randomTuples(t, 2000, 24)); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()
 	defer sn.Release()
 	seen := 0
-	st, err := Run(sn, Plan{}, func(relation.Tuple) bool {
+	st, err := RunContext(ctx, sn, Plan{}, func(relation.Tuple) bool {
 		seen++
 		return seen < 5
 	})
@@ -208,15 +210,16 @@ func TestRunEarlyStop(t *testing.T) {
 // order and Seek must land on the first tuple >= target, finding the
 // block by fence binary search without reading the skipped prefix.
 func TestIteratorSeekAndNext(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 25)
 	for _, codec := range allCodecs() {
 		store := newStore(t, codec, 512)
-		if _, err := store.BulkLoad(tuples); err != nil {
+		if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 			t.Fatal(err)
 		}
 		sn := store.Snapshot()
-		it := NewIterator(sn)
+		it := NewIteratorContext(ctx, sn)
 		for i := 0; ; i++ {
 			tu, ok, err := it.Next()
 			if err != nil {
@@ -269,7 +272,7 @@ func TestRunSeesSnapshot(t *testing.T) {
 	s := testSchema(t)
 	store := newStore(t, core.CodecAVQ, 512)
 	tuples := randomTuples(t, 800, 26)
-	if _, err := store.BulkLoad(tuples); err != nil {
+	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	sn := store.Snapshot()

@@ -218,20 +218,20 @@ func percentile(sorted []time.Duration, q float64) float64 {
 }
 
 // serveEngine builds the loaded, concurrency-safe engine the servers share.
-func serveEngine(ctx context.Context, cfg ServeConfig) (*relation.Schema, []relation.Tuple, *table.Sync, error) {
+func serveEngine(ctx context.Context, cfg ServeConfig) (*relation.Schema, []relation.Tuple, *table.Table, error) {
 	spec := gen.Spec38Byte(cfg.Tuples, false, cfg.Seed)
 	schema, base, err := spec.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tb, err := table.Create(schema, table.Options{Codec: core.CodecAVQ, PageSize: cfg.PageSize})
+	tb, err := table.Create(schema, table.WithCodec(core.CodecAVQ), table.WithPageSize(cfg.PageSize))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if err := tb.BulkLoadContext(ctx, base); err != nil {
 		return nil, nil, nil, err
 	}
-	return schema, base, table.NewSync(tb), nil
+	return schema, base, tb, nil
 }
 
 // RunServe measures the HTTP query service end to end: p50/p95/p99 under
@@ -321,7 +321,7 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 	// The engine is wrapped to pin the scan service time well above the
 	// client's arrival spread, so the lane genuinely fills on every host.
 	over, err := startServe(server.New(server.Config{
-		Engine: &slowEngine{Sync: eng, delay: 20 * time.Millisecond},
+		Engine: &slowEngine{Table: eng, delay: 20 * time.Millisecond},
 		Limits: server.Limits{ReadSlots: 1, ReadQueue: 1, WriteSlots: 1, WriteQueue: 1},
 	}), 32)
 	if err != nil {
@@ -411,7 +411,7 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 // phase overlaps requests deterministically; everything else delegates to
 // the real engine.
 type slowEngine struct {
-	*table.Sync
+	*table.Table
 	delay time.Duration
 }
 
@@ -423,7 +423,7 @@ func (s *slowEngine) ScanContext(ctx context.Context, fn func(relation.Tuple) bo
 		return ctx.Err()
 	case <-timer.C:
 	}
-	return s.Sync.ScanContext(ctx, fn)
+	return s.Table.ScanContext(ctx, fn)
 }
 
 // bestRound runs fn rounds times and keeps the fastest measurement.

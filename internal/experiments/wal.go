@@ -90,7 +90,6 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 	if err != nil {
 		return 0, 0, err
 	}
-	s := table.NewSync(tb)
 	//avqlint:ignore ctxflow benchmark driver: the measured workload has no caller context
 	ctx := context.Background()
 
@@ -102,7 +101,7 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 		go func(w int) {
 			defer wg.Done()
 			for _, tu := range shards[w] {
-				if err := s.InsertContext(ctx, tu); err != nil {
+				if err := tb.InsertContext(ctx, tu); err != nil {
 					errs[w] = err
 					return
 				}
@@ -116,7 +115,7 @@ func runWALOnce(cfg WALConfig, schema *relation.Schema, shards [][]relation.Tupl
 			return 0, 0, err
 		}
 	}
-	if err := s.Close(); err != nil {
+	if err := tb.Close(); err != nil {
 		return 0, 0, err
 	}
 	return elapsed, fs.Syncs, nil

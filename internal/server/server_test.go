@@ -19,9 +19,9 @@ import (
 	"repro/internal/table"
 )
 
-// loadedSync builds a Sync-wrapped table with a deterministic dataset:
-// tuple i is (i%64, i%16, i%64, i) for i in [0, n).
-func loadedSync(t *testing.T, n int) *table.Sync {
+// loadedTable builds a table with a deterministic dataset: tuple i is
+// (i%64, i%16, i%64, i) for i in [0, n).
+func loadedTable(t *testing.T, n int) *table.Table {
 	t.Helper()
 	tab, err := table.Create(testSchema(t), table.WithPageSize(512), table.WithBlockCache(16))
 	if err != nil {
@@ -34,9 +34,8 @@ func loadedSync(t *testing.T, n int) *table.Sync {
 	if err := tab.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
-	s := table.NewSync(tab)
-	t.Cleanup(func() { s.Close() }) //avqlint:ignore droppederr test cleanup
-	return s
+	t.Cleanup(func() { tab.Close() }) //avqlint:ignore droppederr test cleanup
+	return tab
 }
 
 func testTuple(i int) relation.Tuple {
@@ -59,7 +58,7 @@ func postJSON(t *testing.T, url, body string) (int, []byte, http.Header) {
 
 func TestServerEndToEnd(t *testing.T) {
 	const n = 500
-	eng := loadedSync(t, n)
+	eng := loadedTable(t, n)
 	s := New(Config{Engine: eng, Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -279,7 +278,7 @@ func TestServerEndToEnd(t *testing.T) {
 // gatedEngine blocks ScanContext until its gate opens, so tests can hold
 // a request inflight deterministically.
 type gatedEngine struct {
-	*table.Sync
+	*table.Table
 	gate    chan struct{}
 	entered atomic.Int64
 }
@@ -291,14 +290,14 @@ func (g *gatedEngine) ScanContext(ctx context.Context, fn func(relation.Tuple) b
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	return g.Sync.ScanContext(ctx, fn)
+	return g.Table.ScanContext(ctx, fn)
 }
 
 // TestServerAdmissionSaturation drives a 1-slot/1-queue server with three
 // concurrent scans: one executes, one queues, and the third is shed with
 // 429 + Retry-After. After the gate opens, the first two complete.
 func TestServerAdmissionSaturation(t *testing.T) {
-	eng := &gatedEngine{Sync: loadedSync(t, 64), gate: make(chan struct{})}
+	eng := &gatedEngine{Table: loadedTable(t, 64), gate: make(chan struct{})}
 	s := New(Config{
 		Engine: eng,
 		Obs:    obs.NewRegistry(),
@@ -362,7 +361,7 @@ func TestServerAdmissionSaturation(t *testing.T) {
 // then shuts down: Shutdown must wait for them, leave zero pins and zero
 // snapshots, and later requests must see 503 + Retry-After.
 func TestServerGracefulDrain(t *testing.T) {
-	eng := &gatedEngine{Sync: loadedSync(t, 256), gate: make(chan struct{})}
+	eng := &gatedEngine{Table: loadedTable(t, 256), gate: make(chan struct{})}
 	s := New(Config{
 		Engine: eng,
 		Obs:    obs.NewRegistry(),
@@ -444,7 +443,7 @@ func TestServerGracefulDrain(t *testing.T) {
 // engine: a request whose timeout fires while the engine stalls comes
 // back 504 and releases its admission token.
 func TestServerRequestTimeout(t *testing.T) {
-	eng := &gatedEngine{Sync: loadedSync(t, 64), gate: make(chan struct{})}
+	eng := &gatedEngine{Table: loadedTable(t, 64), gate: make(chan struct{})}
 	defer close(eng.gate)
 	s := New(Config{Engine: eng, Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(s.Handler())

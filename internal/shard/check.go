@@ -26,7 +26,7 @@ func (db *DB) Check() error {
 		return fmt.Errorf("shard: %d open shards for %d catalog ranges", len(db.shards), db.cat.NumShards())
 	}
 	for i, sh := range db.shards {
-		if err := sh.Table().CheckInvariants(); err != nil {
+		if err := sh.Check(); err != nil {
 			return fmt.Errorf("shard: %s: %w", shardName(i), err)
 		}
 		lo, hi, ok := sh.PhiBounds()

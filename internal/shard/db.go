@@ -41,9 +41,9 @@ type Config struct {
 }
 
 // DB is a φ-range-sharded database: a catalog plus one table per shard,
-// all on one backend kind. Shard tables are wrapped in table.Sync, so DB
-// methods are safe for concurrent use; the catalog itself only changes
-// under Checkpoint's lock.
+// all on one backend kind. Shard tables are safe for concurrent use, so
+// DB methods are too; the catalog itself only changes under Checkpoint's
+// lock.
 type DB struct {
 	kind   backend.Kind
 	dir    string
@@ -51,7 +51,7 @@ type DB struct {
 	schema *relation.Schema
 	cat    *Catalog
 	cats   backend.Store
-	shards []*table.Sync
+	shards []*table.Table
 
 	mu     sync.Mutex // serializes Checkpoint/Close (catalog publication)
 	closed bool
@@ -93,9 +93,6 @@ func Create(schema *relation.Schema, cfg Config) (*DB, error) {
 		}
 	}
 	pageSize := table.Resolve(cfg.Options).PageSize
-	if pageSize == 0 {
-		pageSize = storage.DefaultPageSize
-	}
 	cat := &Catalog{
 		Kind:     cfg.Kind,
 		Epoch:    0,
@@ -146,7 +143,7 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db.schema = db.shards[0].Table().Schema()
+	db.schema = db.shards[0].Schema()
 	return db, nil
 }
 
@@ -234,7 +231,7 @@ func wire(schema *relation.Schema, cat *Catalog, cfg Config, reopen bool) (*DB, 
 			_ = db.closeShards() //avqlint:ignore droppederr bootstrap failed; the shard error is the one to report
 			return nil, fmt.Errorf("shard: %s: %w", shardName(i), err)
 		}
-		db.shards = append(db.shards, table.NewSync(tb))
+		db.shards = append(db.shards, tb)
 	}
 	return db, nil
 }
@@ -274,7 +271,7 @@ func (db *DB) Schema() *relation.Schema { return db.schema }
 func (db *DB) NumShards() int { return len(db.shards) }
 
 // Shard exposes shard i's table for status and check tooling.
-func (db *DB) Shard(i int) *table.Sync { return db.shards[i] }
+func (db *DB) Shard(i int) *table.Table { return db.shards[i] }
 
 // Len returns the total tuple count across shards.
 func (db *DB) Len() int {
@@ -365,7 +362,7 @@ func (db *DB) partition(tuples []relation.Tuple) ([][]relation.Tuple, error) {
 }
 
 // BulkLoad partitions and loads the shards concurrently. It is an
-// exclusive, single-threaded phase like table.BulkLoad.
+// exclusive, single-threaded phase like table.Table.BulkLoadContext.
 func (db *DB) BulkLoad(ctx context.Context, tuples []relation.Tuple) error {
 	parts, err := db.partition(tuples)
 	if err != nil {
@@ -375,7 +372,7 @@ func (db *DB) BulkLoad(ctx context.Context, tuples []relation.Tuple) error {
 		if len(parts[i]) == 0 {
 			return nil
 		}
-		return db.shards[i].Table().BulkLoadContext(ctx, parts[i])
+		return db.shards[i].BulkLoadContext(ctx, parts[i])
 	})
 }
 

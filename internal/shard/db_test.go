@@ -180,7 +180,7 @@ func TestDifferentialOracle(t *testing.T) {
 			}
 			apply("bulkload",
 				func() error { return db.BulkLoad(ctx, seed) },
-				func() error { return oracle.BulkLoad(seed) })
+				func() error { return oracle.BulkLoadContext(context.Background(), seed) })
 			compareAll(t, kind.String()+"/loaded", db, oracle)
 
 			var extra []relation.Tuple

@@ -8,12 +8,11 @@ import (
 )
 
 // This file is the DB's half of the server's Engine seam: the same
-// Context-suffixed method set table.Table and table.Sync expose, so one
-// server binary fronts a single-file table or a sharded directory
-// transparently. The variants return the summed table.QueryStats (the
-// scatter-level accounting stays available on the Stats-returning
-// methods), which keeps the signatures identical across all three
-// implementations.
+// Context-suffixed method set table.Table exposes, so one server binary
+// fronts a single-file table or a sharded directory transparently. The
+// variants return the summed table.QueryStats (the scatter-level
+// accounting stays available on the Stats-returning methods), which keeps
+// the signatures identical across both implementations.
 
 // InsertContext routes and inserts one tuple, honouring ctx.
 func (db *DB) InsertContext(ctx context.Context, tu relation.Tuple) error {
@@ -28,11 +27,6 @@ func (db *DB) InsertBatchContext(ctx context.Context, tuples []relation.Tuple) e
 // DeleteContext routes and deletes one tuple, honouring ctx.
 func (db *DB) DeleteContext(ctx context.Context, tu relation.Tuple) (bool, error) {
 	return db.Delete(ctx, tu)
-}
-
-// BulkLoadContext partitions and bulk-loads a sorted batch, honouring ctx.
-func (db *DB) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) error {
-	return db.BulkLoad(ctx, tuples)
 }
 
 // SelectRangeContext is SelectRange returning the folded per-shard stats.

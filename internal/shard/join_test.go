@@ -38,7 +38,7 @@ func newJoinPair(t *testing.T, tuples []relation.Tuple) (*shard.DB, *table.Table
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := oracle.BulkLoad(tuples); err != nil {
+	if err := oracle.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	return db, oracle
@@ -88,12 +88,12 @@ func TestShardMergeJoinMatchesSingleTable(t *testing.T) {
 		t.Fatal("sparse-key join pruned no blocks")
 	}
 	for i := 0; i < ldb.NumShards(); i++ {
-		if n := ldb.Shard(i).Table().LiveSnapshots(); n != 0 {
+		if n := ldb.Shard(i).LiveSnapshots(); n != 0 {
 			t.Fatalf("left shard %d leaks %d snapshots", i, n)
 		}
 	}
 	for i := 0; i < rdb.NumShards(); i++ {
-		if n := rdb.Shard(i).Table().LiveSnapshots(); n != 0 {
+		if n := rdb.Shard(i).LiveSnapshots(); n != 0 {
 			t.Fatalf("right shard %d leaks %d snapshots", i, n)
 		}
 	}
@@ -120,7 +120,7 @@ func TestShardMergeJoinEarlyStop(t *testing.T) {
 		t.Fatalf("early stop: emitted %d, Matches %d", seen, st.Matches)
 	}
 	for i := 0; i < ldb.NumShards(); i++ {
-		if n := ldb.Shard(i).Table().LiveSnapshots(); n != 0 {
+		if n := ldb.Shard(i).LiveSnapshots(); n != 0 {
 			t.Fatalf("shard %d leaks %d snapshots after early stop", i, n)
 		}
 	}

@@ -31,12 +31,12 @@ func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batc
 	t.Helper()
 	s := testSchema(t)
 	mk := func(opts ...Option) *Table {
-		all := append([]Option{Options{Codec: codec, PageSize: 512}}, opts...)
+		all := append([]Option{WithCodec(codec), WithPageSize(512)}, opts...)
 		tb, err := Create(s, all...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.BulkLoad(tuples); err != nil {
+		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 			t.Fatal(err)
 		}
 		return tb
@@ -285,40 +285,6 @@ func TestHashJoinEachStreamsAndStops(t *testing.T) {
 	}
 }
 
-// TestSyncBatchRouting checks Sync funnels through the same batch
-// dispatch as Table: identical results, batch counters live.
-func TestSyncBatchRouting(t *testing.T) {
-	ctx := context.Background()
-	tuples := randomTuples(t, 1200, 23)
-	batch, oracle := newBatchPair(t, core.CodecAVQ, tuples)
-	sy := NewSync(batch)
-	n, st, err := sy.CountRangeContext(ctx, 0, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	on, _, err := oracle.CountRangeContext(ctx, 0, 1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != on {
-		t.Fatalf("Sync count %d, tuple %d", n, on)
-	}
-	if st.BatchBlocks == 0 {
-		t.Fatal("Sync count did not take the batch path")
-	}
-	bg, _, err := sy.GroupByContext(ctx, 0, 0, 7, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	og, _, err := oracle.GroupByContext(ctx, 0, 0, 7, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bg, og) {
-		t.Fatalf("Sync GroupBy %+v, tuple %+v", bg, og)
-	}
-}
-
 // TestBatchCountAllocsBounded keeps the whole table-level batch count —
 // plan, snapshot, batch pass, stats fold — within a small allocation
 // budget once the decoded-block cache is warm. The kernel itself must
@@ -326,11 +292,11 @@ func TestSyncBatchRouting(t *testing.T) {
 func TestBatchCountAllocsBounded(t *testing.T) {
 	tuples := randomTuples(t, 2000, 29)
 	s := testSchema(t)
-	tb, err := Create(s, Options{Codec: core.CodecPacked, PageSize: 512, CacheBlocks: 256})
+	tb, err := Create(s, WithCodec(core.CodecPacked), WithPageSize(512), WithBlockCache(256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()

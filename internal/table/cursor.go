@@ -23,17 +23,11 @@ type Cursor struct {
 	it *exec.Iterator
 }
 
-// NewCursor returns a cursor positioned before the first tuple.
-//
-// Deprecated: use NewCursorContext.
-func (t *Table) NewCursor() *Cursor {
-	return t.NewCursorContext(context.Background())
-}
-
-// NewCursorContext is NewCursor honouring ctx: once ctx is cancelled, the
-// next block boundary makes Next return the context's error.
+// NewCursorContext returns a cursor positioned before the first tuple.
+// Once ctx is cancelled, the next block boundary makes Next return the
+// context's error.
 func (t *Table) NewCursorContext(ctx context.Context) *Cursor {
-	return &Cursor{t: t, it: exec.NewIteratorContext(ctx, t.store.Snapshot())}
+	return &Cursor{t: t, it: exec.NewIteratorContext(ctx, t.snapshot())}
 }
 
 // Seek positions the cursor so the following Next returns the first tuple
@@ -66,36 +60,31 @@ func (c *Cursor) Close() { c.it.Release() }
 // The shard layer chains per-shard streams through it for cross-shard
 // merge joins.
 func (t *Table) BatchIterator(ctx context.Context) (*exec.BatchIterator, error) {
-	return exec.NewBatchIterator(ctx, t.store.Snapshot())
+	return exec.NewBatchIterator(ctx, t.snapshot())
 }
 
-// GroupResult is one group of GroupBy: the grouping value and the
+// GroupResult is one group of GroupByContext: the grouping value and the
 // aggregates of aggAttr within it.
 type GroupResult struct {
 	Value uint64
 	Agg   AggregateResult
 }
 
-// GroupBy computes per-group COUNT/SUM/MIN/MAX of aggAttr, grouped by the
-// values of groupAttr, over the rows matching lo <= A_filterAttr <= hi.
-// Groups are returned in ascending group-value order.
-//
-// Deprecated: use GroupByContext.
-func (t *Table) GroupBy(filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	return t.GroupByContext(context.Background(), filterAttr, lo, hi, groupAttr, aggAttr)
-}
-
-// GroupByContext is GroupBy honouring ctx.
+// GroupByContext computes per-group COUNT/SUM/MIN/MAX of aggAttr,
+// grouped by the values of groupAttr, over the rows matching lo <=
+// A_filterAttr <= hi. Groups are returned in ascending group-value order.
 func (t *Table) GroupByContext(ctx context.Context, filterAttr int, lo, hi uint64, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planGroupBy(filterAttr, lo, hi, groupAttr, aggAttr)
+	t.mu.RUnlock()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
 	return groupByDispatchCtx(ctx, r, groupAttr, aggAttr)
 }
 
-// groupByDispatchCtx runs a planned GroupBy on whichever path the plan
-// selected; Table and Sync both funnel through it.
+// groupByDispatchCtx runs a planned GroupByContext on whichever path the plan
+// selected.
 func groupByDispatchCtx(ctx context.Context, r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
 	if r.batch && !r.empty {
 		return groupByBatchCtx(ctx, r, r.snap.Schema(), groupAttr, aggAttr)
@@ -119,7 +108,7 @@ func (t *Table) planGroupBy(filterAttr int, lo, hi uint64, groupAttr, aggAttr in
 	return r, err
 }
 
-// groupByBatchCtx is GroupBy on raw ordinals: both the group key and the
+// groupByBatchCtx is GroupByContext on raw ordinals: both the group key and the
 // aggregated value come out of each φ via the FlatWeights divisor chain
 // (one divide + mod each), never full φ⁻¹. Grouping on the clustering
 // prefix (groupAttr 0) exploits φ order — keys arrive as contiguous
@@ -195,14 +184,7 @@ func groupByBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, groupA
 	return out, stats, nil
 }
 
-// groupByRun executes a planned GroupBy pass: stream, bucket, sort.
-//
-// Deprecated: use groupByRunCtx so cancellation reaches the executor.
-func groupByRun(r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
-	return groupByRunCtx(context.Background(), r, groupAttr, aggAttr)
-}
-
-// groupByRunCtx is groupByRun honouring ctx.
+// groupByRunCtx executes a planned GroupBy pass: stream, bucket, sort.
 func groupByRunCtx(ctx context.Context, r queryRun, groupAttr, aggAttr int) ([]GroupResult, QueryStats, error) {
 	groups := make(map[uint64]*AggregateResult)
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {

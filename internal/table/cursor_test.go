@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -8,13 +9,14 @@ import (
 )
 
 func TestCursorFullScan(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 1500, 93)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	c := tb.NewCursor()
+	c := tb.NewCursorContext(ctx)
 	var prev relation.Tuple
 	count := 0
 	for {
@@ -41,10 +43,11 @@ func TestCursorFullScan(t *testing.T) {
 }
 
 func TestCursorSeek(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 2000, 94)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	// Sorted reference.
@@ -56,7 +59,7 @@ func TestCursorSeek(t *testing.T) {
 
 	for _, idx := range []int{0, 1, 500, 1000, 1999} {
 		target := sorted[idx]
-		c := tb.NewCursor()
+		c := tb.NewCursorContext(ctx)
 		if err := c.Seek(target); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +72,7 @@ func TestCursorSeek(t *testing.T) {
 		}
 	}
 	// Seek past the end.
-	c := tb.NewCursor()
+	c := tb.NewCursorContext(ctx)
 	if err := c.Seek(relation.Tuple{7, 15, 63, 63, 4095}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +84,7 @@ func TestCursorSeek(t *testing.T) {
 		t.Fatalf("Seek past end returned smaller tuple %v", tu)
 	}
 	// Seek before the beginning lands on the minimum.
-	c = tb.NewCursor()
+	c = tb.NewCursorContext(ctx)
 	if err := c.Seek(relation.Tuple{0, 0, 0, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +103,20 @@ func TestCursorSeek(t *testing.T) {
 
 func TestCursorEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	c := tb.NewCursor()
+	c := tb.NewCursorContext(context.Background())
 	if _, ok, err := c.Next(); ok || err != nil {
 		t.Fatalf("empty cursor: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestGroupBy(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 2000, 95)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	groups, _, err := tb.GroupBy(0, 0, 7, 1, 2) // group by job over all depts
+	groups, _, err := tb.GroupByContext(ctx, 0, 0, 7, 1, 2) // group by job over all depts
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +156,10 @@ func TestGroupBy(t *testing.T) {
 			t.Fatalf("group %d mismatch: %+v vs %+v", g.Value, g.Agg, want)
 		}
 	}
-	if _, _, err := tb.GroupBy(0, 0, 7, 99, 2); err == nil {
+	if _, _, err := tb.GroupByContext(ctx, 0, 0, 7, 99, 2); err == nil {
 		t.Fatal("bad group attribute accepted")
 	}
-	if _, _, err := tb.GroupBy(0, 0, 7, 1, 99); err == nil {
+	if _, _, err := tb.GroupByContext(ctx, 0, 0, 7, 1, 99); err == nil {
 		t.Fatal("bad aggregate attribute accepted")
 	}
 }

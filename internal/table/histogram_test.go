@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -99,7 +100,7 @@ func TestPlannerUsesHistogram(t *testing.T) {
 		relation.Domain{Name: "b", Size: 1000}, // values concentrated in [0,100)
 		relation.Domain{Name: "c", Size: 1000}, // uniform
 	)
-	tb, err := Create(s, Options{Codec: core.CodecAVQ, PageSize: 512, SecondaryAttrs: []int{1, 2}})
+	tb, err := Create(s, WithCodec(core.CodecAVQ), WithPageSize(512), WithSecondaryAttrs(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestPlannerUsesHistogram(t *testing.T) {
 			uint64(rng.Intn(1000)), // full domain
 		}
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	// Predicate on b covers [0,199]: uniform model says 20%, histogram
@@ -132,7 +133,7 @@ func TestPlannerUsesHistogram(t *testing.T) {
 func TestEstimateSelectivityMatchesData(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
 	tuples := randomTuples(t, 5000, 64)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []Predicate{
@@ -161,30 +162,31 @@ func TestEstimateSelectivityMatchesData(t *testing.T) {
 }
 
 func TestHistogramMaintainedByMutations(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 200, 65)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 200, 65)); err != nil {
 		t.Fatal(err)
 	}
 	extra := randomTuples(t, 50, 66)
 	for _, tu := range extra {
-		if err := tb.Insert(tu); err != nil {
+		if err := tb.InsertContext(ctx, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tu := range extra[:25] {
-		if _, err := tb.Delete(tu); err != nil {
+		if _, err := tb.DeleteContext(ctx, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// CheckInvariants verifies histogram totals against the live size.
-	if err := tb.CheckInvariants(); err != nil {
+	// Check verifies histogram totals against the live size.
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestExplain(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1, 4})
-	if err := tb.BulkLoad(randomTuples(t, 1000, 67)); err != nil {
+	if err := tb.BulkLoadContext(context.Background(), randomTuples(t, 1000, 67)); err != nil {
 		t.Fatal(err)
 	}
 	out, err := tb.Explain([]Predicate{
@@ -216,8 +218,9 @@ func TestExplain(t *testing.T) {
 }
 
 func TestExplainAgreesWithExecution(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(randomTuples(t, 2000, 68)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 2000, 68)); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Predicate{{Attr: 1, Lo: 3, Hi: 5}}
@@ -225,7 +228,7 @@ func TestExplainAgreesWithExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := tb.Select(preds)
+	_, stats, err := tb.SelectContext(ctx, preds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,19 +33,12 @@ type JoinStats struct {
 	SlabRows    int
 }
 
-// HashJoin computes the equi-join left ⋈_{A_lattr = A_rattr} right with a
-// classic in-memory hash join: the smaller relation is built into a hash
-// table on its join attribute, the larger is streamed block by block
+// HashJoinContext computes the equi-join left ⋈_{A_lattr = A_rattr} right
+// with a classic in-memory hash join: the smaller relation is built into a
+// hash table on its join attribute, the larger is streamed block by block
 // through the executor. Because AVQ blocks decode independently, the
 // probe side never needs more than one decoded block in memory — the
-// locality property Section 3.3 is designed for.
-//
-// Deprecated: use HashJoinContext.
-func HashJoin(left, right *Table, lattr, rattr int) ([]JoinRow, JoinStats, error) {
-	return HashJoinContext(context.Background(), left, right, lattr, rattr)
-}
-
-// HashJoinContext is HashJoin honouring ctx: both the build and probe
+// locality property Section 3.3 is designed for. Both the build and probe
 // passes observe cancellation at block boundaries. It materializes the
 // whole result; large joins should stream through HashJoinEachContext.
 func HashJoinContext(ctx context.Context, left, right *Table, lattr, rattr int) ([]JoinRow, JoinStats, error) {
@@ -85,7 +78,7 @@ func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr i
 		battr, pattr = rattr, lattr
 	}
 	ht := make(map[uint64][]relation.Tuple)
-	buildSnap := build.store.Snapshot()
+	buildSnap := build.snapshot()
 	buildStats, err := exec.RunContext(ctx, buildSnap, exec.Plan{}, func(tu relation.Tuple) bool {
 		ht[tu[battr]] = append(ht[tu[battr]], tu)
 		return true
@@ -94,7 +87,7 @@ func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr i
 	if err != nil {
 		return stats, err
 	}
-	probeSnap := probe.store.Snapshot()
+	probeSnap := probe.snapshot()
 	probeStats, err := exec.RunContext(ctx, probeSnap, exec.Plan{}, func(tu relation.Tuple) bool {
 		for _, match := range ht[tu[pattr]] {
 			var row JoinRow
@@ -124,20 +117,13 @@ func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr i
 	return stats, nil
 }
 
-// MergeJoin computes the equi-join on both relations' clustering attribute
-// (attribute 0). Because both relations are phi-ordered and phi order is
-// lexicographic, each side streams its blocks exactly once in join-key
-// order: the join costs one pass over each compressed relation with no
-// build table.
-//
-// Deprecated: use MergeJoinContext.
-func MergeJoin(left, right *Table) ([]JoinRow, JoinStats, error) {
-	return MergeJoinContext(context.Background(), left, right)
-}
-
-// MergeJoinContext is MergeJoin honouring ctx: both streams observe
-// cancellation at block boundaries. It materializes the whole result;
-// large joins should stream through MergeJoinEachContext.
+// MergeJoinContext computes the equi-join on both relations' clustering
+// attribute (attribute 0). Because both relations are phi-ordered and phi
+// order is lexicographic, each side streams its blocks exactly once in
+// join-key order: the join costs one pass over each compressed relation
+// with no build table. Both streams observe cancellation at block
+// boundaries. It materializes the whole result; large joins should stream
+// through MergeJoinEachContext.
 func MergeJoinContext(ctx context.Context, left, right *Table) ([]JoinRow, JoinStats, error) {
 	var out []JoinRow
 	stats, err := MergeJoinEachContext(ctx, left, right, func(row JoinRow) bool {
@@ -170,12 +156,12 @@ func MergeJoinEachContext(ctx context.Context, left, right *Table, emit func(Joi
 // mergeJoinBatch is the φ-space merge join between two tables.
 func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
 	var stats JoinStats
-	li, err := exec.NewBatchIterator(ctx, left.store.Snapshot())
+	li, err := exec.NewBatchIterator(ctx, left.snapshot())
 	if err != nil {
 		return stats, err
 	}
 	defer li.Release()
-	ri, err := exec.NewBatchIterator(ctx, right.store.Snapshot())
+	ri, err := exec.NewBatchIterator(ctx, right.snapshot())
 	if err != nil {
 		return stats, err
 	}
@@ -309,7 +295,7 @@ type keyGroup struct {
 }
 
 func newClusterCursor(ctx context.Context, t *Table) *clusterCursor {
-	return &clusterCursor{it: exec.NewIteratorContext(ctx, t.store.Snapshot())}
+	return &clusterCursor{it: exec.NewIteratorContext(ctx, t.snapshot())}
 }
 
 func (c *clusterCursor) close() { c.it.Release() }

@@ -9,26 +9,21 @@ import (
 	"repro/internal/storage"
 )
 
-// InsertBatch inserts many tuples with one decode/re-encode per affected
-// block instead of one per tuple: the batch is sorted into phi order,
-// partitioned by target block through the primary index, and each block is
-// merged and rewritten once. Semantically identical to calling Insert in a
-// loop (duplicates allowed); typically an order of magnitude faster for
-// large batches.
-//
-// Deprecated: use InsertBatchContext.
-func (t *Table) InsertBatch(tuples []relation.Tuple) error {
-	return t.InsertBatchContext(context.Background(), tuples)
-}
-
-// InsertBatchContext is InsertBatch honouring ctx: cancellation is
-// observed between block rewrites, leaving the table consistent with the
-// runs merged so far. In WAL mode the whole batch is logged as one record
-// and group-committed before returning; a partial failure logs an abort
-// plus a re-log of the prefix that did apply, so replay reproduces exactly
-// the state the caller observed.
+// InsertBatchContext inserts many tuples with one decode/re-encode per
+// affected block instead of one per tuple: the batch is sorted into phi
+// order, partitioned by target block through the primary index, and each
+// block is merged and rewritten once. Semantically identical to calling
+// InsertContext in a loop (duplicates allowed); typically an order of
+// magnitude faster for large batches. Cancellation is observed between
+// block rewrites, leaving the table consistent with the runs merged so
+// far. In WAL mode the whole batch is logged as one record and
+// group-committed, outside the lock, before returning; a partial failure
+// logs an abort plus a re-log of the prefix that did apply, so replay
+// reproduces exactly the state the caller observed.
 func (t *Table) InsertBatchContext(ctx context.Context, tuples []relation.Tuple) error {
+	t.mu.Lock()
 	lsn, err := t.insertBatchLogged(ctx, tuples)
+	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -175,21 +170,16 @@ func (t *Table) mergeIntoBlock(page storage.PageID, run []relation.Tuple) error 
 	return nil
 }
 
-// BulkLoadStream loads the table from a pull source of phi-ordered tuples
-// (ok=false when dry) without materializing the relation: the streaming
-// counterpart of BulkLoad, intended for external-sorted inputs larger than
-// memory (package extsort produces a compatible stream).
-// On error the table is left partially loaded and must be discarded.
-//
-// Deprecated: use BulkLoadStreamContext.
-func (t *Table) BulkLoadStream(next func() (relation.Tuple, bool, error)) error {
-	return t.BulkLoadStreamContext(context.Background(), next)
-}
-
-// BulkLoadStreamContext is BulkLoadStream honouring ctx: cancellation is
-// observed between block encodes, before the next pull from the source.
-// On error the table is left partially loaded and must be discarded.
+// BulkLoadStreamContext loads the table from a pull source of
+// phi-ordered tuples (ok=false when dry) without materializing the
+// relation: the streaming counterpart of BulkLoadContext, intended for
+// external-sorted inputs larger than memory (package extsort produces a
+// compatible stream). Cancellation is observed between block encodes,
+// before the next pull from the source. On error the table is left
+// partially loaded and must be discarded.
 func (t *Table) BulkLoadStreamContext(ctx context.Context, next func() (relation.Tuple, bool, error)) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.size != 0 || t.store.NumBlocks() != 0 {
 		return errInto("bulk load into non-empty table")
 	}
@@ -236,37 +226,50 @@ func (t *Table) walCheckpoint() error {
 	if t.wal == nil {
 		return nil
 	}
-	return t.Checkpoint()
+	return t.checkpoint()
 }
 
 // errInto builds a table-scoped error; a tiny helper keeping the streaming
-// path's error vocabulary aligned with BulkLoad's.
+// path's error vocabulary aligned with BulkLoadContext's.
 func errInto(msg string) error { return fmt.Errorf("table: %s", msg) }
 
-// DeleteWhere removes every tuple matching the conjunction and returns how
-// many were removed. It collects matches first (queries see a consistent
-// snapshot), then deletes block by block.
-//
-// Deprecated: use DeleteWhereContext.
-func (t *Table) DeleteWhere(preds []Predicate) (int, error) {
-	return t.DeleteWhereContext(context.Background(), preds)
+// DeleteWhereContext removes every tuple matching the conjunction and
+// returns how many were removed. It collects matches first, then deletes
+// block by block, all under one exclusive lock hold. Cancellation is
+// observed between deletes, so the removed count stays accurate. In WAL
+// mode the matched set is logged as one record and group-committed once,
+// outside the lock; a partial failure logs an abort plus a re-log of the
+// deleted prefix.
+func (t *Table) DeleteWhereContext(ctx context.Context, preds []Predicate) (int, error) {
+	t.mu.Lock()
+	removed, lsn, err := t.deleteWhereLogged(ctx, preds)
+	t.mu.Unlock()
+	if err != nil {
+		return removed, err
+	}
+	return removed, t.walCommit(lsn)
 }
 
-// DeleteWhereContext is DeleteWhere honouring ctx: cancellation is
-// observed between deletes, so the removed count stays accurate. In WAL
-// mode the matched set is logged as one record and group-committed once; a
-// partial failure logs an abort plus a re-log of the deleted prefix.
-func (t *Table) DeleteWhereContext(ctx context.Context, preds []Predicate) (int, error) {
-	matches, _, err := t.SelectContext(ctx, preds)
+// deleteWhereLogged is DeleteWhereContext's body under the exclusive
+// lock: it returns the removed count and the LSN to commit.
+func (t *Table) deleteWhereLogged(ctx context.Context, preds []Predicate) (int, uint64, error) {
+	r, err := t.planSelect(preds)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
+	}
+	var matches []relation.Tuple
+	if _, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
+		matches = append(matches, tu)
+		return true
+	}); err != nil {
+		return 0, 0, err
 	}
 	if len(matches) == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
 	lsn, err := t.logRecord(recDeleteBatch, matches...)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	removed := 0
 	for i, tu := range matches {
@@ -280,34 +283,32 @@ func (t *Table) DeleteWhereContext(ctx context.Context, preds []Predicate) (int,
 					_ = rerr //avqlint:ignore droppederr best-effort re-log on a path already returning the apply error
 				}
 			}
-			return removed, err
+			return removed, 0, err
 		}
 		if ok {
 			removed++
 		}
 	}
-	return removed, t.walCommit(lsn)
+	return removed, lsn, nil
 }
 
-// Compact rewrites the relation into freshly packed blocks, reclaiming the
-// slack that accumulates as deletions shrink blocks below the packing
-// target (Section 3.4's minimal-unused-space rule degrades under churn).
-// Indexes are rebuilt. It returns the block counts before and after.
-//
-// Deprecated: use CompactContext.
-func (t *Table) Compact() (before, after int, err error) {
-	return t.CompactContext(context.Background())
-}
-
-// CompactContext is Compact honouring ctx. Cancellation is observed only
-// during the initial collection scan: once the old layout is torn down the
-// rewrite runs to completion so the table is never left empty.
+// CompactContext rewrites the relation into freshly packed blocks,
+// reclaiming the slack that accumulates as deletions shrink blocks below
+// the packing target (Section 3.4's minimal-unused-space rule degrades
+// under churn). Indexes are rebuilt. It returns the block counts before
+// and after. Cancellation is observed only during the initial collection
+// scan: once the old layout is torn down the rewrite runs to completion
+// so the table is never left empty.
 func (t *Table) CompactContext(ctx context.Context) (before, after int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	sp := t.opts.Obs.StartOp("compact")
 	defer sp.End()
 	before = t.store.NumBlocks()
 	var all []relation.Tuple
-	if err := t.ScanContext(ctx, func(tu relation.Tuple) bool {
+	r := t.planScan()
+	r.op = "scan"
+	if _, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
 		all = append(all, tu.Clone())
 		return true
 	}); err != nil {
@@ -335,10 +336,10 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 	}
 	t.size = 0
 
-	// Reload tightly packed. Deliberately ctx-blind: the old layout is
+	// Reload tightly packed. Deliberately cancel-blind: the old layout is
 	// already torn down, so aborting here would leave the table empty.
-	//avqlint:ignore ctxflow rewrite must run to completion once teardown starts
-	refs, err := t.store.BulkLoad(all)
+	rewrite := context.WithoutCancel(ctx)
+	refs, err := t.store.BulkLoadContext(rewrite, all)
 	if err != nil {
 		return before, before, err
 	}
@@ -346,8 +347,7 @@ func (t *Table) CompactContext(ctx context.Context) (before, after int, err erro
 		t.primary.Insert(t.schema.EncodeTuple(nil, ref.First), ref.Page)
 	}
 	if len(t.secondary) > 0 {
-		//avqlint:ignore ctxflow index rebuild is part of the uninterruptible rewrite
-		if err := t.store.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+		if err := t.store.ScanBlocksContext(rewrite, func(id storage.PageID, ts []relation.Tuple) bool {
 			t.registerTuples(id, ts)
 			return true
 		}); err != nil {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,36 +11,37 @@ import (
 )
 
 func TestInsertBatchMatchesSequential(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	base := randomTuples(t, 800, 71)
 	batch := randomTuples(t, 400, 72)
 
 	seq := newTable(t, core.CodecAVQ, AllAttrs(s))
 	bat := newTable(t, core.CodecAVQ, AllAttrs(s))
-	if err := seq.BulkLoad(base); err != nil {
+	if err := seq.BulkLoadContext(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	if err := bat.BulkLoad(base); err != nil {
+	if err := bat.BulkLoadContext(ctx, base); err != nil {
 		t.Fatal(err)
 	}
 	for _, tu := range batch {
-		if err := seq.Insert(tu); err != nil {
+		if err := seq.InsertContext(ctx, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bat.InsertBatch(batch); err != nil {
+	if err := bat.InsertBatchContext(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
 	if seq.Len() != bat.Len() {
 		t.Fatalf("len: sequential %d, batch %d", seq.Len(), bat.Len())
 	}
-	if err := bat.CheckInvariants(); err != nil {
+	if err := bat.Check(); err != nil {
 		t.Fatal(err)
 	}
 	// Same logical contents in the same phi order.
 	var a, b []relation.Tuple
-	seq.Scan(func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
-	bat.Scan(func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
+	seq.ScanContext(ctx, func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
+	bat.ScanContext(ctx, func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
 	if len(a) != len(b) {
 		t.Fatalf("scan lengths %d vs %d", len(a), len(b))
 	}
@@ -55,11 +57,11 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 		span := s.Domain(attr).Size
 		lo := uint64(rng.Int63n(int64(span)))
 		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		x, _, err := seq.SelectRange(attr, lo, hi)
+		x, _, err := seq.SelectRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, _, err := bat.SelectRange(attr, lo, hi)
+		y, _, err := bat.SelectRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,49 +74,51 @@ func TestInsertBatchMatchesSequential(t *testing.T) {
 func TestInsertBatchEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, []int{1})
 	batch := randomTuples(t, 300, 74)
-	if err := tb.InsertBatch(batch); err != nil {
+	if err := tb.InsertBatchContext(context.Background(), batch); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 300 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestInsertBatchEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.InsertBatch(nil); err != nil {
+	if err := tb.InsertBatchContext(ctx, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.InsertBatch([]relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
+	if err := tb.InsertBatchContext(ctx, []relation.Tuple{{99, 0, 0, 0, 0}}); err == nil {
 		t.Fatal("invalid tuple accepted")
 	}
 	// A batch that lands entirely before the first block.
-	if err := tb.BulkLoad([]relation.Tuple{{7, 15, 63, 63, 4095}}); err != nil {
+	if err := tb.BulkLoadContext(ctx, []relation.Tuple{{7, 15, 63, 63, 4095}}); err != nil {
 		t.Fatal(err)
 	}
 	early := []relation.Tuple{{0, 0, 0, 0, 1}, {0, 0, 0, 0, 2}}
-	if err := tb.InsertBatch(early); err != nil {
+	if err := tb.InsertBatchContext(ctx, early); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 3 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestInsertBatchForcesSplits(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, []int{4})
-	if err := tb.BulkLoad(randomTuples(t, 200, 75)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 200, 75)); err != nil {
 		t.Fatal(err)
 	}
 	before := tb.NumBlocks()
 	// A large batch into a small-paged table must split blocks.
-	if err := tb.InsertBatch(randomTuples(t, 2000, 76)); err != nil {
+	if err := tb.InsertBatchContext(ctx, randomTuples(t, 2000, 76)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.NumBlocks() <= before {
@@ -123,16 +127,17 @@ func TestInsertBatchForcesSplits(t *testing.T) {
 	if tb.Len() != 2200 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeleteWhere(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 1000, 77)
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Predicate{{Attr: 1, Lo: 0, Hi: 7}}
@@ -142,7 +147,7 @@ func TestDeleteWhere(t *testing.T) {
 			want++
 		}
 	}
-	removed, err := tb.DeleteWhere(preds)
+	removed, err := tb.DeleteWhereContext(ctx, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,24 +158,25 @@ func TestDeleteWhere(t *testing.T) {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	// Nothing left in the range.
-	n, _, err := tb.CountRange(1, 0, 7)
+	n, _, err := tb.CountRangeContext(ctx, 1, 0, 7)
 	if err != nil || n != 0 {
 		t.Fatalf("range still has %d rows, %v", n, err)
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 	_ = s
 }
 
 func TestCompactReclaimsSpace(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, []int{1, 4})
 	tuples := randomTuples(t, 3000, 78)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	// Delete two thirds, leaving blocks underfull.
-	removed, err := tb.DeleteWhere([]Predicate{{Attr: 4, Lo: 0, Hi: 2730}})
+	removed, err := tb.DeleteWhereContext(ctx, []Predicate{{Attr: 4, Lo: 0, Hi: 2730}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +184,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 		t.Fatal("nothing deleted")
 	}
 	lenBefore := tb.Len()
-	before, after, err := tb.Compact()
+	before, after, err := tb.CompactContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +194,11 @@ func TestCompactReclaimsSpace(t *testing.T) {
 	if tb.Len() != lenBefore {
 		t.Fatalf("compact changed Len: %d -> %d", lenBefore, tb.Len())
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 	// Queries still work through rebuilt indexes.
-	rows, stats, err := tb.SelectRange(1, 0, 15)
+	rows, stats, err := tb.SelectRangeContext(ctx, 1, 0, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +212,7 @@ func TestCompactReclaimsSpace(t *testing.T) {
 
 func TestCompactEmptyTable(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
-	before, after, err := tb.Compact()
+	before, after, err := tb.CompactContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,27 +222,31 @@ func TestCompactEmptyTable(t *testing.T) {
 }
 
 func TestCompactPersistentTable(t *testing.T) {
+	ctx := context.Background()
 	path := tempPath(t)
-	tb, err := Create(testSchema(t), Options{
-		Codec: core.CodecAVQ, PageSize: 512, Path: path, SecondaryAttrs: []int{1},
-	})
+	tb, err := Create(testSchema(t),
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithPath(path),
+		WithSecondaryAttrs(1),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(randomTuples(t, 1000, 79)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 1000, 79)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.DeleteWhere([]Predicate{{Attr: 1, Lo: 0, Hi: 11}}); err != nil {
+	if _, err := tb.DeleteWhereContext(ctx, []Predicate{{Attr: 1, Lo: 0, Hi: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tb.Compact(); err != nil {
+	if _, _, err := tb.CompactContext(ctx); err != nil {
 		t.Fatal(err)
 	}
 	wantLen := tb.Len()
 	if err := tb.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Open(path, Options{PageSize: 512})
+	got, err := Open(path, WithPageSize(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +254,13 @@ func TestCompactPersistentTable(t *testing.T) {
 	if got.Len() != wantLen {
 		t.Fatalf("Len after compact+reopen = %d, want %d", got.Len(), wantLen)
 	}
-	if err := got.CheckInvariants(); err != nil {
+	if err := got.Check(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 2500, 85)
 	sorted := make([]relation.Tuple, len(tuples))
@@ -259,12 +270,12 @@ func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
 	s.SortTuples(sorted)
 
 	plain := newTable(t, core.CodecAVQ, []int{1})
-	if err := plain.BulkLoad(tuples); err != nil {
+	if err := plain.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	streamed := newTable(t, core.CodecAVQ, []int{1})
 	i := 0
-	if err := streamed.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	if err := streamed.BulkLoadStreamContext(ctx, func() (relation.Tuple, bool, error) {
 		if i >= len(sorted) {
 			return nil, false, nil
 		}
@@ -281,12 +292,12 @@ func TestBulkLoadStreamMatchesBulkLoad(t *testing.T) {
 		t.Fatalf("streamed %d blocks, plain %d (packing must agree)",
 			streamed.NumBlocks(), plain.NumBlocks())
 	}
-	if err := streamed.CheckInvariants(); err != nil {
+	if err := streamed.Check(); err != nil {
 		t.Fatal(err)
 	}
 	var a, b []relation.Tuple
-	plain.Scan(func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
-	streamed.Scan(func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
+	plain.ScanContext(ctx, func(tu relation.Tuple) bool { a = append(a, tu.Clone()); return true })
+	streamed.ScanContext(ctx, func(tu relation.Tuple) bool { b = append(b, tu.Clone()); return true })
 	for i := range a {
 		if s.Compare(a[i], b[i]) != 0 {
 			t.Fatalf("tuple %d differs", i)
@@ -298,7 +309,7 @@ func TestBulkLoadStreamRejectsUnsorted(t *testing.T) {
 	tb := newTable(t, core.CodecAVQ, nil)
 	seq := []relation.Tuple{{5, 0, 0, 0, 0}, {1, 0, 0, 0, 0}}
 	i := 0
-	err := tb.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
 		if i >= len(seq) {
 			return nil, false, nil
 		}
@@ -337,7 +348,7 @@ func TestBulkLoadStreamFromExternalSort(t *testing.T) {
 		close(ch)
 	}()
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoadStream(func() (relation.Tuple, bool, error) {
+	if err := tb.BulkLoadStreamContext(context.Background(), func() (relation.Tuple, bool, error) {
 		it, ok := <-ch
 		if !ok {
 			return nil, false, nil
@@ -352,7 +363,7 @@ func TestBulkLoadStreamFromExternalSort(t *testing.T) {
 	if tb.Len() != 3000 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,93 +3,84 @@ package table
 import (
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/simdisk"
 	"repro/internal/storage"
 )
 
-// Option configures a table at Create/Open time. Options compose left to
-// right: later options override earlier ones. The legacy Options struct
-// itself implements Option (it replaces the whole configuration), so both
-// styles work:
+// Option configures a table at Create/Open time. Options apply left to
+// right over the documented defaults, so later options override earlier
+// ones:
 //
 //	table.Create(schema, table.WithConcurrency(8), table.WithBlockCache(256))
-//	table.Create(schema, table.Options{Concurrency: 8, CacheBlocks: 256})
-type Option interface {
-	apply(*Options)
-}
+type Option func(*Options)
 
-// optionFunc adapts a function to the Option interface.
-type optionFunc func(*Options)
-
-func (f optionFunc) apply(o *Options) { f(o) }
-
-// apply makes the legacy Options struct usable wherever an Option is
-// expected. It replaces the accumulated configuration wholesale, so mixing
-// a struct with With* options only makes sense with the struct first.
-func (o Options) apply(dst *Options) { *dst = o }
-
-// resolveOptions folds a Create/Open option list into one Options value.
-func resolveOptions(opts []Option) Options {
-	var o Options
+// Resolve folds a Create/Open option list over the defaults each Options
+// field documents. Layered callers (the shard layer) use it to inspect a
+// configuration — e.g. the page size — before constructing per-shard
+// backends.
+func Resolve(opts []Option) Options {
+	o := Options{
+		Codec:      core.CodecAVQ,
+		PageSize:   storage.DefaultPageSize,
+		PoolFrames: 128,
+		DiskParams: simdisk.PaperParams(),
+		IndexOrder: btree.DefaultOrder,
+	}
 	for _, op := range opts {
-		op.apply(&o)
+		op(&o)
 	}
 	return o
 }
-
-// Resolve folds an option list into the Options struct it denotes.
-// Layered callers (the shard layer) use it to inspect a configuration —
-// e.g. the page size — before constructing per-shard backends.
-func Resolve(opts []Option) Options { return resolveOptions(opts) }
 
 // WithBatch enables (true, the default on flat schemas) or disables
 // (false) the columnar batch execution path for aggregate reads and merge
 // joins. Non-flat schemas ignore it: they have no φ-slab representation.
 func WithBatch(on bool) Option {
-	return optionFunc(func(o *Options) { o.DisableBatch = !on })
+	return func(o *Options) { o.DisableBatch = !on }
 }
 
 // WithCodec selects the block representation (default core.CodecAVQ).
 func WithCodec(c core.Codec) Option {
-	return optionFunc(func(o *Options) { o.Codec = c })
+	return func(o *Options) { o.Codec = c }
 }
 
 // WithPageSize sets the disk block size in bytes.
 func WithPageSize(n int) Option {
-	return optionFunc(func(o *Options) { o.PageSize = n })
+	return func(o *Options) { o.PageSize = n }
 }
 
 // WithPoolFrames sets the buffer pool capacity in frames.
 func WithPoolFrames(n int) Option {
-	return optionFunc(func(o *Options) { o.PoolFrames = n })
+	return func(o *Options) { o.PoolFrames = n }
 }
 
 // WithDiskParams sets the simulated disk cost model.
 func WithDiskParams(p simdisk.Params) Option {
-	return optionFunc(func(o *Options) { o.DiskParams = p })
+	return func(o *Options) { o.DiskParams = p }
 }
 
 // WithIndexOrder sets the B+ tree node width.
 func WithIndexOrder(n int) Option {
-	return optionFunc(func(o *Options) { o.IndexOrder = n })
+	return func(o *Options) { o.IndexOrder = n }
 }
 
 // WithSecondaryAttrs lists attribute positions to maintain secondary
 // indexes on.
 func WithSecondaryAttrs(attrs ...int) Option {
-	return optionFunc(func(o *Options) { o.SecondaryAttrs = attrs })
+	return func(o *Options) { o.SecondaryAttrs = attrs }
 }
 
 // WithSecondaryKind selects the secondary-index backend.
 func WithSecondaryKind(k IndexKind) Option {
-	return optionFunc(func(o *Options) { o.SecondaryKind = k })
+	return func(o *Options) { o.SecondaryKind = k }
 }
 
 // WithPath backs the table with a page file at the given location.
 func WithPath(path string) Option {
-	return optionFunc(func(o *Options) { o.Path = path })
+	return func(o *Options) { o.Path = path }
 }
 
 // WithPager injects the page store directly instead of deriving one from
@@ -98,19 +89,19 @@ func WithPath(path string) Option {
 // anchors the WAL directory and the persistence contract), the pager must
 // implement storage.DurablePager.
 func WithPager(p storage.Pager) Option {
-	return optionFunc(func(o *Options) { o.Pager = p })
+	return func(o *Options) { o.Pager = p }
 }
 
 // WithConcurrency sets the block-codec worker count for bulk loads, scans,
 // and stats; values <= 1 keep the serial reference path.
 func WithConcurrency(n int) Option {
-	return optionFunc(func(o *Options) { o.Concurrency = n })
+	return func(o *Options) { o.Concurrency = n }
 }
 
 // WithBlockCache enables the decoded-block LRU cache with the given
 // capacity in blocks; 0 disables it.
 func WithBlockCache(blocks int) Option {
-	return optionFunc(func(o *Options) { o.CacheBlocks = blocks })
+	return func(o *Options) { o.CacheBlocks = blocks }
 }
 
 // WithObs attaches an observability registry: the buffer pool, block
@@ -118,35 +109,35 @@ func WithBlockCache(blocks int) Option {
 // table's public operations record op-latency spans through it. A nil
 // registry (the default) keeps every hot path un-instrumented.
 func WithObs(reg *obs.Registry) Option {
-	return optionFunc(func(o *Options) { o.Obs = reg })
+	return func(o *Options) { o.Obs = reg }
 }
 
 // WithSlowOpThreshold overrides the attached registry's slow-op admission
 // threshold. It only has effect together with WithObs.
 func WithSlowOpThreshold(d time.Duration) Option {
-	return optionFunc(func(o *Options) { o.SlowOpThreshold = d })
+	return func(o *Options) { o.SlowOpThreshold = d }
 }
 
 // WithDurability selects the crash-durability contract (see Durability).
 // Only meaningful together with WithPath.
 func WithDurability(d Durability) Option {
-	return optionFunc(func(o *Options) { o.Durability = d })
+	return func(o *Options) { o.Durability = d }
 }
 
 // WithVFS overrides the filesystem backing the page file and WAL; crash
 // tests inject a fault-injecting implementation here. Nil (the default)
 // means the real filesystem.
 func WithVFS(fs storage.FS) Option {
-	return optionFunc(func(o *Options) { o.FS = fs })
+	return func(o *Options) { o.FS = fs }
 }
 
 // WithWALSegmentSize overrides the WAL segment rotation threshold in bytes.
 func WithWALSegmentSize(n int64) Option {
-	return optionFunc(func(o *Options) { o.WALSegmentSize = n })
+	return func(o *Options) { o.WALSegmentSize = n }
 }
 
 // WithWALSyncEveryAppend forces one fsync per logged record instead of
 // group commit — the naive durability baseline benchmarks compare against.
 func WithWALSyncEveryAppend(on bool) Option {
-	return optionFunc(func(o *Options) { o.WALSyncEveryAppend = on })
+	return func(o *Options) { o.WALSyncEveryAppend = on }
 }

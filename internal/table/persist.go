@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -195,6 +196,14 @@ func (t *Table) initCatalogHeads() error {
 // then releases pages freed since the previous checkpoint for reuse. A
 // plain flush for in-memory tables.
 func (t *Table) Checkpoint() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.checkpoint()
+}
+
+// checkpoint is Checkpoint's body, for callers already holding the
+// exclusive lock (or still constructing the table).
+func (t *Table) checkpoint() error {
 	if t.closed {
 		return ErrClosed
 	}
@@ -294,11 +303,19 @@ func (t *Table) Checkpoint() error {
 // Close checkpoints (persistent tables), releases the buffer pool, and
 // closes the pager. Further operations return errors.
 func (t *Table) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.close()
+}
+
+// close is Close's body, for construction paths that fail before the
+// table is shared.
+func (t *Table) close() error {
 	if t.closed {
 		return nil
 	}
 	if t.persistent() {
-		if err := t.Checkpoint(); err != nil {
+		if err := t.checkpoint(); err != nil {
 			return err
 		}
 	}
@@ -325,9 +342,8 @@ func Open(path string, options ...Option) (*Table, error) {
 	if path == "" {
 		return nil, errors.New("table: Open needs a path")
 	}
-	opts := resolveOptions(options)
+	opts := Resolve(options)
 	opts.Path = path
-	opts.fillDefaults()
 	if opts.FS == nil {
 		opts.FS = storage.OSFS{}
 	}
@@ -453,7 +469,7 @@ func Open(path string, options ...Option) (*Table, error) {
 	t.catalogChains = chains
 	t.generation = best.generation
 	if err := t.store.Restore(best.blocks); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+		t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 		return nil, err
 	}
 	// Rebuild the in-memory indexes from the data blocks, capturing each
@@ -461,7 +477,8 @@ func Open(path string, options ...Option) (*Table, error) {
 	// second decode pass.
 	count := 0
 	fences := make([]blockstore.Fence, 0, len(best.blocks))
-	if err := t.store.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	//avqlint:ignore ctxflow Open takes no ctx; the index rebuild is part of opening
+	if err := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		t.primary.Insert(t.schema.EncodeTuple(nil, ts[0]), id)
 		if len(t.secondary) > 0 {
 			t.registerTuples(id, ts)
@@ -477,15 +494,15 @@ func Open(path string, options ...Option) (*Table, error) {
 		count += len(ts)
 		return true
 	}); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+		t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 		return nil, err
 	}
 	if err := t.store.AdoptFences(fences); err != nil {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+		t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 		return nil, err
 	}
 	if count != best.size {
-		t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+		t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 		return nil, fmt.Errorf("table: catalog says %d tuples, blocks hold %d", best.size, count)
 	}
 	t.size = count
@@ -503,7 +520,7 @@ func Open(path string, options ...Option) (*Table, error) {
 	for id := 0; id < t.pager.NumPages(); id++ {
 		if !referenced[storage.PageID(id)] {
 			if err := t.pager.Free(storage.PageID(id)); err != nil {
-				t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+				t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 				return nil, err
 			}
 		}
@@ -518,7 +535,7 @@ func Open(path string, options ...Option) (*Table, error) {
 	if opts.Durability == DurabilityWAL || walDirExists {
 		t.opts.Durability = DurabilityWAL
 		if err := t.attachWALReplay(); err != nil {
-			// Deliberately NOT t.Close(): its checkpoint would publish the
+			// Deliberately NOT t.close(): its checkpoint would publish the
 			// partially replayed state and orphan the log. Tear down raw so
 			// the catalog and log on disk stay exactly as found.
 			t.closed = true

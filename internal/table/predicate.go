@@ -44,21 +44,16 @@ func (p Predicate) selectivity(s *relation.Schema) float64 {
 	return float64(hi-p.Lo+1) / float64(size)
 }
 
-// Select executes a conjunction of range predicates. The most selective
-// predicate with an access path (the clustering attribute or a secondary
-// index) drives block retrieval; the whole conjunction is pushed into the
-// executor, which filters while it streams. With no usable predicate the
-// table is scanned.
-//
-// Deprecated: use SelectContext.
-func (t *Table) Select(preds []Predicate) ([]relation.Tuple, QueryStats, error) {
-	return t.SelectContext(context.Background(), preds)
-}
-
-// SelectContext is Select honouring ctx: cancellation is observed at block
+// SelectContext executes a conjunction of range predicates. The most
+// selective predicate with an access path (the clustering attribute or a
+// secondary index) drives block retrieval; the whole conjunction is pushed
+// into the executor, which filters while it streams. With no usable
+// predicate the table is scanned. Cancellation is observed at block
 // boundaries, before the next decode.
 func (t *Table) SelectContext(ctx context.Context, preds []Predicate) ([]relation.Tuple, QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planSelect(preds)
+	t.mu.RUnlock()
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -166,9 +161,9 @@ func Project(rows []relation.Tuple, attrs []int) ([][]uint64, error) {
 }
 
 // Aggregates over a range predicate. Each runs the same access path as
-// SelectRange but streams without materializing rows.
+// SelectRangeContext but streams without materializing rows.
 
-// AggregateResult carries the aggregate values of AggregateRange.
+// AggregateResult carries the aggregate values of AggregateRangeContext.
 type AggregateResult struct {
 	Count int
 	Sum   uint64
@@ -176,18 +171,13 @@ type AggregateResult struct {
 	Max   uint64
 }
 
-// AggregateRange computes COUNT, SUM, MIN, and MAX of attribute aggAttr
-// over the rows matching lo <= A_attr <= hi. Min and Max are meaningful
-// only when Count > 0.
-//
-// Deprecated: use AggregateRangeContext.
-func (t *Table) AggregateRange(attr int, lo, hi uint64, aggAttr int) (AggregateResult, QueryStats, error) {
-	return t.AggregateRangeContext(context.Background(), attr, lo, hi, aggAttr)
-}
-
-// AggregateRangeContext is AggregateRange honouring ctx.
+// AggregateRangeContext computes COUNT, SUM, MIN, and MAX of attribute
+// aggAttr over the rows matching lo <= A_attr <= hi. Min and Max are
+// meaningful only when Count > 0.
 func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint64, aggAttr int) (AggregateResult, QueryStats, error) {
+	t.mu.RLock()
 	r, err := t.planAggregate(attr, lo, hi, aggAttr)
+	t.mu.RUnlock()
 	if err != nil {
 		return AggregateResult{}, QueryStats{}, err
 	}
@@ -195,7 +185,7 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 }
 
 // aggregateDispatchCtx runs a planned aggregate on whichever path the
-// plan selected; Table and Sync both funnel through it.
+// plan selected.
 func aggregateDispatchCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
 	if r.batch && !r.empty {
 		return aggregateBatchCtx(ctx, r, r.snap.Schema(), aggAttr)
@@ -243,14 +233,8 @@ func (t *Table) planAggregate(attr int, lo, hi uint64, aggAttr int) (queryRun, e
 	return r, err
 }
 
-// aggregateRun executes a planned aggregate pass without materializing rows.
-//
-// Deprecated: use aggregateRunCtx so cancellation reaches the executor.
-func aggregateRun(r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	return aggregateRunCtx(context.Background(), r, aggAttr)
-}
-
-// aggregateRunCtx is aggregateRun honouring ctx.
+// aggregateRunCtx executes a planned aggregate pass without
+// materializing rows.
 func aggregateRunCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
 	res := AggregateResult{Min: math.MaxUint64}
 	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,12 +12,12 @@ import (
 // newHashTable builds a table whose secondary indexes are hash-backed.
 func newHashTable(t testing.TB, secondaries []int) *Table {
 	t.Helper()
-	tb, err := Create(testSchema(t), Options{
-		Codec:          core.CodecAVQ,
-		PageSize:       512,
-		SecondaryAttrs: secondaries,
-		SecondaryKind:  IndexHash,
-	})
+	tb, err := Create(testSchema(t),
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithSecondaryAttrs(secondaries...),
+		WithSecondaryKind(IndexHash),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,17 +25,18 @@ func newHashTable(t testing.TB, secondaries []int) *Table {
 }
 
 func TestHashSecondaryAgreesWithBTree(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 21)
 	bt := newTable(t, core.CodecAVQ, AllAttrs(s))
 	hs := newHashTable(t, AllAttrs(s))
-	if err := bt.BulkLoad(tuples); err != nil {
+	if err := bt.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.BulkLoad(tuples); err != nil {
+	if err := hs.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := hs.CheckInvariants(); err != nil {
+	if err := hs.Check(); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(22))
@@ -43,11 +45,11 @@ func TestHashSecondaryAgreesWithBTree(t *testing.T) {
 		span := s.Domain(attr).Size
 		lo := uint64(rng.Int63n(int64(span)))
 		hi := lo + uint64(rng.Int63n(int64(span-lo)))
-		a, aStats, err := bt.SelectRange(attr, lo, hi)
+		a, aStats, err := bt.SelectRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, bStats, err := hs.SelectRange(attr, lo, hi)
+		b, bStats, err := hs.SelectRangeContext(ctx, attr, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,13 +66,14 @@ func TestHashSecondaryAgreesWithBTree(t *testing.T) {
 }
 
 func TestHashSecondaryPointQuery(t *testing.T) {
+	ctx := context.Background()
 	tuples := randomTuples(t, 800, 23)
 	hs := newHashTable(t, []int{4})
-	if err := hs.BulkLoad(tuples); err != nil {
+	if err := hs.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	v := tuples[17][4]
-	rows, stats, err := hs.SelectPoint(4, v)
+	rows, stats, err := hs.SelectPointContext(ctx, 4, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +91,19 @@ func TestHashSecondaryPointQuery(t *testing.T) {
 }
 
 func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
+	ctx := context.Background()
 	// A range wider than the enumeration limit on a hash-indexed attribute
 	// must fall back to a full scan rather than probing thousands of keys.
 	s := relation.MustSchema(
 		relation.Domain{Name: "a", Size: 8},
 		relation.Domain{Name: "b", Size: 1 << 20},
 	)
-	tb, err := Create(s, Options{
-		Codec: core.CodecAVQ, PageSize: 512,
-		SecondaryAttrs: []int{1}, SecondaryKind: IndexHash,
-	})
+	tb, err := Create(s,
+		WithCodec(core.CodecAVQ),
+		WithPageSize(512),
+		WithSecondaryAttrs(1),
+		WithSecondaryKind(IndexHash),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +112,10 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 	for i := range tuples {
 		tuples[i] = relation.Tuple{uint64(rng.Intn(8)), uint64(rng.Intn(1 << 20))}
 	}
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := tb.SelectRange(1, 0, 1<<19)
+	_, stats, err := tb.SelectRangeContext(ctx, 1, 0, 1<<19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +123,7 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 		t.Fatalf("wide hash range used %v path", stats.Strategy)
 	}
 	// A narrow range enumerates through the hash index.
-	_, stats, err = tb.SelectRange(1, 100, 150)
+	_, stats, err = tb.SelectRangeContext(ctx, 1, 100, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +133,11 @@ func TestHashSecondaryWideRangeFallsBack(t *testing.T) {
 }
 
 func TestSelectConjunction(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	tuples := randomTuples(t, 2000, 25)
 	tb := newTable(t, core.CodecAVQ, []int{1, 4})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	preds := []Predicate{
@@ -138,7 +145,7 @@ func TestSelectConjunction(t *testing.T) {
 		{Attr: 2, Lo: 10, Hi: 50},
 		{Attr: 4, Lo: 100, Hi: 700},
 	}
-	got, stats, err := tb.Select(preds)
+	got, stats, err := tb.SelectContext(ctx, preds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,29 +183,31 @@ func TestSelectConjunction(t *testing.T) {
 }
 
 func TestSelectEmptyPredicates(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 100, 26)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 100, 26)); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := tb.Select(nil)
+	rows, _, err := tb.SelectContext(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 100 {
 		t.Fatalf("empty conjunction returned %d rows", len(rows))
 	}
-	if _, _, err := tb.Select([]Predicate{{Attr: 99}}); err == nil {
+	if _, _, err := tb.SelectContext(ctx, []Predicate{{Attr: 99}}); err == nil {
 		t.Fatal("bad predicate accepted")
 	}
 }
 
 func TestAggregateRange(t *testing.T) {
+	ctx := context.Background()
 	tuples := randomTuples(t, 1000, 27)
 	tb := newTable(t, core.CodecAVQ, []int{1})
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := tb.AggregateRange(1, 3, 8, 2)
+	res, _, err := tb.AggregateRangeContext(ctx, 1, 3, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +230,7 @@ func TestAggregateRange(t *testing.T) {
 			res, wantCount, wantSum, wantMin, wantMax)
 	}
 	// Empty result range.
-	res, _, err = tb.AggregateRange(1, 15, 15, 2)
+	res, _, err = tb.AggregateRangeContext(ctx, 1, 15, 15, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +245,19 @@ func TestAggregateRange(t *testing.T) {
 			t.Fatalf("empty aggregate = %+v", res)
 		}
 	}
-	if _, _, err := tb.AggregateRange(1, 0, 1, 99); err == nil {
+	if _, _, err := tb.AggregateRangeContext(ctx, 1, 0, 1, 99); err == nil {
 		t.Fatal("bad aggregate attribute accepted")
 	}
 }
 
 func TestCountRangeStreams(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, []int{1})
 	tuples := randomTuples(t, 500, 28)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
-	n, stats, err := tb.CountRange(1, 0, 7)
+	n, stats, err := tb.CountRangeContext(ctx, 1, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +287,13 @@ func TestProject(t *testing.T) {
 }
 
 func TestSelectRangeFuncEarlyStop(t *testing.T) {
+	ctx := context.Background()
 	tb := newTable(t, core.CodecAVQ, nil)
-	if err := tb.BulkLoad(randomTuples(t, 1000, 29)); err != nil {
+	if err := tb.BulkLoadContext(ctx, randomTuples(t, 1000, 29)); err != nil {
 		t.Fatal(err)
 	}
 	seen := 0
-	_, err := tb.SelectRangeFunc(0, 0, 7, func(tu relation.Tuple) bool {
+	_, err := tb.SelectRangeFuncContext(ctx, 0, 0, 7, func(tu relation.Tuple) bool {
 		seen++
 		return seen < 10
 	})
@@ -308,18 +319,19 @@ func referenceJoin(l, r []relation.Tuple, lattr, rattr int) int {
 }
 
 func TestHashJoin(t *testing.T) {
+	ctx := context.Background()
 	s := testSchema(t)
 	lt := randomTuples(t, 600, 30)
 	rt := randomTuples(t, 300, 31)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecRaw, nil) // mixed codecs join fine
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(ctx, lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(ctx, rt); err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := HashJoin(left, right, 1, 1)
+	rows, stats, err := HashJoinContext(ctx, left, right, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,24 +347,25 @@ func TestHashJoin(t *testing.T) {
 	if stats.LeftBlocks != left.NumBlocks() || stats.RightBlocks != right.NumBlocks() {
 		t.Fatalf("join stats = %+v, blocks %d/%d", stats, left.NumBlocks(), right.NumBlocks())
 	}
-	if _, _, err := HashJoin(left, right, 99, 1); err == nil {
+	if _, _, err := HashJoinContext(ctx, left, right, 99, 1); err == nil {
 		t.Fatal("bad join attribute accepted")
 	}
 	_ = s
 }
 
 func TestMergeJoin(t *testing.T) {
+	ctx := context.Background()
 	lt := randomTuples(t, 500, 32)
 	rt := randomTuples(t, 400, 33)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(ctx, lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(ctx, rt); err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := MergeJoin(left, right)
+	rows, stats, err := MergeJoinContext(ctx, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,21 +386,22 @@ func TestMergeJoin(t *testing.T) {
 }
 
 func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
+	ctx := context.Background()
 	lt := randomTuples(t, 400, 34)
 	rt := randomTuples(t, 350, 35)
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := left.BulkLoad(lt); err != nil {
+	if err := left.BulkLoadContext(ctx, lt); err != nil {
 		t.Fatal(err)
 	}
-	if err := right.BulkLoad(rt); err != nil {
+	if err := right.BulkLoadContext(ctx, rt); err != nil {
 		t.Fatal(err)
 	}
-	mj, _, err := MergeJoin(left, right)
+	mj, _, err := MergeJoinContext(ctx, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj, _, err := HashJoin(left, right, 0, 0)
+	hj, _, err := HashJoinContext(ctx, left, right, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,16 +411,17 @@ func TestMergeJoinAgreesWithHashJoin(t *testing.T) {
 }
 
 func TestJoinEmptySides(t *testing.T) {
+	ctx := context.Background()
 	left := newTable(t, core.CodecAVQ, nil)
 	right := newTable(t, core.CodecAVQ, nil)
-	if err := right.BulkLoad(randomTuples(t, 50, 36)); err != nil {
+	if err := right.BulkLoadContext(ctx, randomTuples(t, 50, 36)); err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := HashJoin(left, right, 0, 0)
+	rows, _, err := HashJoinContext(ctx, left, right, 0, 0)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("join with empty left = %d rows, %v", len(rows), err)
 	}
-	rows, _, err = MergeJoin(left, right)
+	rows, _, err = MergeJoinContext(ctx, left, right)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("merge join with empty left = %d rows, %v", len(rows), err)
 	}
@@ -422,24 +437,25 @@ func TestIndexKindString(t *testing.T) {
 }
 
 func TestHashTableMutations(t *testing.T) {
+	ctx := context.Background()
 	tb := newHashTable(t, []int{1, 4})
 	tuples := randomTuples(t, 300, 37)
-	if err := tb.BulkLoad(tuples); err != nil {
+	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		t.Fatal(err)
 	}
 	extra := randomTuples(t, 80, 38)
 	for _, tu := range extra {
-		if err := tb.Insert(tu); err != nil {
+		if err := tb.InsertContext(ctx, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, tu := range extra {
-		ok, err := tb.Delete(tu)
+		ok, err := tb.DeleteContext(ctx, tu)
 		if err != nil || !ok {
 			t.Fatalf("delete: %v, %v", ok, err)
 		}
 	}
-	if err := tb.CheckInvariants(); err != nil {
+	if err := tb.Check(); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Len() != 300 {

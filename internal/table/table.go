@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/blockstore"
@@ -55,7 +56,8 @@ func (k IndexKind) String() string {
 	}
 }
 
-// Options configures a table.
+// Options is a table's resolved configuration: what Resolve returns
+// after applying the With* options over the defaults each field names.
 type Options struct {
 	// Codec selects the block representation. Default CodecAVQ.
 	Codec core.Codec
@@ -118,11 +120,12 @@ type Options struct {
 	// group commit — the naive baseline the wal benchmark measures
 	// against. Leave false outside benchmarks.
 	WALSyncEveryAppend bool
-	// DisableBatch keeps aggregate reads (CountRange, AggregateRange,
-	// GroupBy, Histogram, merge joins) on the tuple-at-a-time path even
-	// when the schema is flat. The batch (columnar φ-slab) path is the
-	// default on flat schemas; differential tests and benchmarks set this
-	// to pit the two paths against each other.
+	// DisableBatch keeps aggregate reads (CountRangeContext,
+	// AggregateRangeContext, GroupByContext, HistogramContext, merge joins)
+	// on the tuple-at-a-time path even when the schema is flat. The batch
+	// (columnar φ-slab) path is the default on flat schemas; differential
+	// tests and benchmarks set this to pit the two paths against each
+	// other.
 	DisableBatch bool
 }
 
@@ -133,21 +136,6 @@ func AllAttrs(s *relation.Schema) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func (o *Options) fillDefaults() {
-	if o.PageSize == 0 {
-		o.PageSize = storage.DefaultPageSize
-	}
-	if o.PoolFrames == 0 {
-		o.PoolFrames = 128
-	}
-	if o.DiskParams == (simdisk.Params{}) {
-		o.DiskParams = simdisk.PaperParams()
-	}
-	if o.IndexOrder == 0 {
-		o.IndexOrder = btree.DefaultOrder
-	}
 }
 
 // bucket is a secondary-index posting: the data blocks holding tuples with
@@ -203,9 +191,25 @@ func (x hashSec) all(fn func(key []byte, b *bucket) bool) {
 func (x hashSec) nodeCount() int { return x.h.NumBuckets() }
 func (x hashSec) check() error   { return x.h.CheckInvariants() }
 
-// Table is a relational table over a coded block store. It is not safe for
-// concurrent use.
+// Table is a relational table over a coded block store, safe for
+// concurrent use by any number of readers and writers.
+//
+// Exported methods take the table's read/write lock (only the immutable
+// Schema, Codec and Disk, and the store-level StoreStats and
+// BlockCacheStats, need none). The unexported bodies they call never
+// lock, so no method re-enters the non-reentrant mutex. Mutations hold
+// the exclusive lock while they log and apply, and release it before the
+// WAL group commit, so concurrent writers share one fsync. Reads hold the
+// shared lock only while they validate, plan (histograms, secondary
+// indexes) and pin a blockstore snapshot; they then execute lock-free
+// against the snapshot. A long scan therefore streams its pre-mutation
+// view while inserts and deletes rewrite blocks underneath it — the
+// paper's localized-access property made concurrent.
 type Table struct {
+	// mu guards every field below that a mutation changes: size, the
+	// indexes and histograms, the catalog state and the closed flag.
+	mu sync.RWMutex
+
 	schema    *relation.Schema
 	opts      Options
 	disk      *simdisk.Disk
@@ -227,11 +231,10 @@ type Table struct {
 }
 
 // Create builds an empty table for the schema, configured by functional
-// options (or a legacy Options struct, which implements Option). With a
-// path set, the table is file-backed and the page file must be new or
-// empty.
+// options. With a path set, the table is file-backed and the page file
+// must be new or empty.
 func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
-	t, err := newTableShell(schema, resolveOptions(opts))
+	t, err := newTableShell(schema, Resolve(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -244,13 +247,13 @@ func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 		if err := t.initCatalogHeads(); err != nil {
 			return nil, err
 		}
-		if err := t.Checkpoint(); err != nil {
+		if err := t.checkpoint(); err != nil {
 			return nil, err
 		}
 	}
 	if t.opts.Durability == DurabilityWAL {
 		if err := t.attachWAL(); err != nil {
-			t.Close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
+			t.close() //avqlint:ignore droppederr best-effort cleanup on a path already returning the primary error
 			return nil, err
 		}
 	}
@@ -259,7 +262,6 @@ func Create(schema *relation.Schema, opts ...Option) (*Table, error) {
 
 // newTableShell constructs the table with an empty store and indexes.
 func newTableShell(schema *relation.Schema, opts Options) (*Table, error) {
-	opts.fillDefaults()
 	for _, a := range opts.SecondaryAttrs {
 		if a < 0 || a >= schema.NumAttrs() {
 			return nil, fmt.Errorf("table: secondary attribute %d out of range", a)
@@ -378,38 +380,69 @@ func (t *Table) Schema() *relation.Schema { return t.schema }
 func (t *Table) Codec() core.Codec { return t.opts.Codec }
 
 // Len returns the number of tuples.
-func (t *Table) Len() int { return t.size }
+func (t *Table) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.size
+}
 
 // NumBlocks returns the number of data blocks.
-func (t *Table) NumBlocks() int { return t.store.NumBlocks() }
+func (t *Table) NumBlocks() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.NumBlocks()
+}
 
 // PhiBounds reports the attribute-0 span actually occupied by the
 // table's blocks (from the block fences). ok is false when the table is
 // empty or a fence is unknown. The shard checker uses this to prove every
 // shard's data sits inside its catalog φ-range.
-func (t *Table) PhiBounds() (lo, hi uint64, ok bool) { return t.store.FenceBounds() }
+func (t *Table) PhiBounds() (lo, hi uint64, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.FenceBounds()
+}
 
 // Disk returns the simulated disk, for experiment accounting.
 func (t *Table) Disk() *simdisk.Disk { return t.disk }
 
 // DropCache empties the buffer pool so the next query runs cold, as the
 // paper's I/O model assumes.
-func (t *Table) DropCache() error { return t.pool.DropAll() }
+func (t *Table) DropCache() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.pool.DropAll()
+}
 
-// PinnedFrames returns the buffer pool's currently pinned frame count.
-// Crash and leak tests assert it returns to zero after recovery.
-func (t *Table) PinnedFrames() int { return t.pool.PinnedFrames() }
+// PinnedFrames returns the buffer pool's currently pinned frame count:
+// zero when no operation is mid-flight, which crash and leak tests and
+// the server's graceful drain assert.
+func (t *Table) PinnedFrames() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.pool.PinnedFrames()
+}
 
 // LiveSnapshots returns the number of unreleased store snapshots.
-func (t *Table) LiveSnapshots() int { return t.store.LiveSnapshots() }
+func (t *Table) LiveSnapshots() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.store.LiveSnapshots()
+}
 
 // Generation returns the durable catalog generation (zero for in-memory
 // tables before the first checkpoint).
-func (t *Table) Generation() uint64 { return t.generation }
+func (t *Table) Generation() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.generation
+}
 
 // IndexNodeCount returns the total node count across the primary and all
 // secondary indexes; experiments convert it to index blocks.
 func (t *Table) IndexNodeCount() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := t.primary.NodeCount()
 	for _, idx := range t.secondary {
 		n += idx.nodeCount()
@@ -418,27 +451,29 @@ func (t *Table) IndexNodeCount() int {
 }
 
 // PrimaryHeight returns the primary index height.
-func (t *Table) PrimaryHeight() int { return t.primary.Height() }
+func (t *Table) PrimaryHeight() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.primary.Height()
+}
 
-// StoreStats returns the block store's physical layout statistics.
+// StoreStats returns the block store's physical layout statistics. The
+// store computes them from a snapshot it pins itself, so no table lock is
+// held while every block is inspected.
 func (t *Table) StoreStats() (blockstore.Stats, error) { return t.store.ComputeStats() }
 
 // BlockCacheStats returns the decoded-block cache counters (zero when the
 // cache is disabled).
 func (t *Table) BlockCacheStats() blockstore.CacheStats { return t.store.CacheStats() }
 
-// BulkLoad replaces the table's contents with tuples (any order; the table
-// re-orders them per Section 3.2). The input slice is not retained.
-//
-// Deprecated: use BulkLoadContext.
-func (t *Table) BulkLoad(tuples []relation.Tuple) error {
-	return t.BulkLoadContext(context.Background(), tuples)
-}
-
-// BulkLoadContext is BulkLoad honouring ctx: cancellation is observed at
-// block boundaries during encoding and indexing, leaving the table
-// partially loaded (discard it on error, as with any failed bulk load).
+// BulkLoadContext replaces the table's contents with tuples (any order;
+// the table re-orders them per Section 3.2). The input slice is not
+// retained. Cancellation is observed at block boundaries during encoding
+// and indexing, leaving the table partially loaded (discard it on error,
+// as with any failed bulk load).
 func (t *Table) BulkLoadContext(ctx context.Context, tuples []relation.Tuple) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.size != 0 || t.store.NumBlocks() != 0 {
 		return errors.New("table: bulk load into non-empty table")
 	}
@@ -530,19 +565,15 @@ func (t *Table) homeBlock(tu relation.Tuple) (storage.PageID, bool) {
 	return 0, false
 }
 
-// Insert adds tu to the table. Duplicates are permitted (relations here are
-// bags once inserts are allowed, matching the paper's block operations).
-//
-// Deprecated: use InsertContext.
-func (t *Table) Insert(tu relation.Tuple) error {
-	return t.InsertContext(context.Background(), tu)
-}
-
-// InsertContext is Insert honouring ctx. A single-block rewrite is not
-// interruptible mid-flight; cancellation is observed before work starts.
-// In WAL mode the insert is group-committed before returning.
+// InsertContext adds tu to the table. Duplicates are permitted (relations
+// here are bags once inserts are allowed, matching the paper's block
+// operations). A single-block rewrite is not interruptible mid-flight;
+// cancellation is observed before work starts. In WAL mode the insert is
+// group-committed, outside the lock, before returning.
 func (t *Table) InsertContext(ctx context.Context, tu relation.Tuple) error {
+	t.mu.Lock()
 	lsn, err := t.insertLogged(ctx, tu)
+	t.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -550,8 +581,8 @@ func (t *Table) InsertContext(ctx context.Context, tu relation.Tuple) error {
 }
 
 // insertLogged validates, logs, and applies one insert, returning the LSN
-// to commit. It does not wait for log durability: the Sync wrapper calls
-// it under its exclusive lock and commits after releasing it.
+// to commit. It does not wait for log durability: callers hold the
+// exclusive lock around it and commit after releasing it.
 func (t *Table) insertLogged(ctx context.Context, tu relation.Tuple) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -604,18 +635,14 @@ func (t *Table) insertApply(ctx context.Context, tu relation.Tuple) error {
 	return nil
 }
 
-// Delete removes one occurrence of tu, reporting whether it was present.
-//
-// Deprecated: use DeleteContext.
-func (t *Table) Delete(tu relation.Tuple) (bool, error) {
-	return t.DeleteContext(context.Background(), tu)
-}
-
-// DeleteContext is Delete honouring ctx. A single-block rewrite is not
-// interruptible mid-flight; cancellation is observed before work starts.
-// In WAL mode the delete is group-committed before returning.
+// DeleteContext removes one occurrence of tu, reporting whether it was
+// present. A single-block rewrite is not interruptible mid-flight;
+// cancellation is observed before work starts. In WAL mode the delete is
+// group-committed, outside the lock, before returning.
 func (t *Table) DeleteContext(ctx context.Context, tu relation.Tuple) (bool, error) {
+	t.mu.Lock()
 	lsn, found, err := t.deleteLogged(ctx, tu)
+	t.mu.Unlock()
 	if err != nil || !found {
 		return found, err
 	}
@@ -672,25 +699,28 @@ func (t *Table) deleteApply(ctx context.Context, tu relation.Tuple) (bool, error
 	return true, nil
 }
 
-// Update replaces one occurrence of old with new. It reports whether old
-// was present (and therefore replaced).
-//
-// Deprecated: use UpdateContext.
-func (t *Table) Update(old, new relation.Tuple) (bool, error) {
-	return t.UpdateContext(context.Background(), old, new)
-}
-
-// UpdateContext is Update honouring ctx: cancellation is observed before
-// the delete and again before the re-insert.
+// UpdateContext replaces one occurrence of old with new. It reports
+// whether old was present (and therefore replaced). Cancellation is
+// observed before the delete and again before the re-insert. Both halves
+// are logged under one lock hold and committed with a single group commit
+// on the later LSN (LSNs are monotone, so committing the insert's LSN
+// also makes the delete durable).
 func (t *Table) UpdateContext(ctx context.Context, old, new relation.Tuple) (bool, error) {
 	if err := t.schema.ValidateTuple(new); err != nil {
 		return false, err
 	}
-	found, err := t.DeleteContext(ctx, old)
+	t.mu.Lock()
+	_, found, err := t.deleteLogged(ctx, old)
 	if err != nil || !found {
+		t.mu.Unlock()
 		return false, err
 	}
-	return true, t.InsertContext(ctx, new)
+	lsn, err := t.insertLogged(ctx, new)
+	t.mu.Unlock()
+	if err != nil {
+		return false, err
+	}
+	return true, t.walCommit(lsn)
 }
 
 // applyMutation fixes the primary and secondary indexes after a block
@@ -756,7 +786,10 @@ func (t *Table) findTupleBlock(tu relation.Tuple) (storage.PageID, bool, error) 
 }
 
 // Contains reports whether tu is in the table, using the primary index.
+// It reads blocks while probing, so it holds the shared lock throughout.
 func (t *Table) Contains(tu relation.Tuple) (bool, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if err := t.schema.ValidateTuple(tu); err != nil {
 		return false, err
 	}
@@ -764,32 +797,27 @@ func (t *Table) Contains(tu relation.Tuple) (bool, error) {
 	return found, err
 }
 
-// Scan visits every tuple in phi order through the executor, reading a
-// pinned snapshot. fn returning false stops the scan.
-//
-// Deprecated: use ScanContext.
-func (t *Table) Scan(fn func(relation.Tuple) bool) error {
-	return t.ScanContext(context.Background(), fn)
-}
-
-// ScanContext is Scan honouring ctx: cancellation is observed at block
+// ScanContext visits every tuple in phi order through the executor,
+// reading a snapshot pinned under the shared lock; fn runs without it.
+// fn returning false stops the scan. Cancellation is observed at block
 // boundaries, before the next block is decoded.
 func (t *Table) ScanContext(ctx context.Context, fn func(relation.Tuple) bool) error {
+	t.mu.RLock()
 	r := t.planScan()
+	t.mu.RUnlock()
 	r.op = "scan"
 	_, err := r.runCtx(ctx, fn)
 	return err
 }
 
-// Check verifies the whole table. It is the name the server's Engine
-// seam uses: table.Table, table.Sync, and shard.DB all answer Check()
-// with their deepest self-validation pass.
-func (t *Table) Check() error { return t.CheckInvariants() }
-
-// CheckInvariants verifies the whole table: store layout, index trees, the
+// Check verifies the whole table: store layout, index trees, the
 // agreement of the primary index with block firsts, secondary bucket
-// counts against actual block contents, and the tuple count.
-func (t *Table) CheckInvariants() error {
+// counts against actual block contents, and the tuple count. It holds the
+// shared lock throughout, so mutations pause while it walks every block.
+// table.Table and shard.DB both answer the server's Engine seam with it.
+func (t *Table) Check() error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	// Deep store check: page headers, stream checksums, and per-tuple φ
 	// range membership, not just the layout maps.
 	if err := t.store.Check(); err != nil {
@@ -814,7 +842,8 @@ func (t *Table) CheckInvariants() error {
 	}
 	wantCounts := map[attrVal]int{}
 	var checkErr error
-	scanErr := t.store.ScanBlocks(func(id storage.PageID, ts []relation.Tuple) bool {
+	//avqlint:ignore ctxflow Check has no caller context; the Engine seam's Check takes none
+	scanErr := t.store.ScanBlocksContext(context.Background(), func(id storage.PageID, ts []relation.Tuple) bool {
 		count += len(ts)
 		key := t.schema.EncodeTuple(nil, ts[0])
 		page, ok := t.primary.Get(key)

@@ -108,9 +108,9 @@ func (t *Table) logRecord(kind byte, tuples ...relation.Tuple) (uint64, error) {
 }
 
 // walCommit group-commits through lsn. The zero LSN (no WAL, or nothing
-// logged) is a no-op. Callers holding the Sync wrapper's exclusive lock
-// must NOT call this under it — committing outside the lock is what lets
-// concurrent writers share one fsync.
+// logged) is a no-op. Mutations must NOT call this under the table's
+// exclusive lock — committing outside the lock is what lets concurrent
+// writers share one fsync.
 func (t *Table) walCommit(lsn uint64) error {
 	if t.wal == nil || lsn == 0 {
 		return nil
@@ -208,7 +208,7 @@ func (t *Table) attachWALReplay() error {
 	sp.Detailf("%d records, %d applied", len(records), applied)
 	// Fold the replayed state into a durable catalog; Checkpoint also
 	// rotates the log, truncating the segments just replayed.
-	if err := t.Checkpoint(); err != nil {
+	if err := t.checkpoint(); err != nil {
 		return fail(err)
 	}
 	return nil

@@ -28,15 +28,15 @@ func crashSchema() *relation.Schema {
 	)
 }
 
-func crashOpts(fs *simdisk.FaultFS) table.Options {
-	return table.Options{
-		PageSize:   512,
-		Path:       crashDBPath,
-		FS:         fs,
-		Durability: table.DurabilityWAL,
+func crashOpts(fs *simdisk.FaultFS) []table.Option {
+	return []table.Option{
+		table.WithPageSize(512),
+		table.WithPath(crashDBPath),
+		table.WithVFS(fs),
+		table.WithDurability(table.DurabilityWAL),
 		// Small segments so the matrix also crosses mid-workload segment
 		// rotations.
-		WALSegmentSize: 1024,
+		table.WithWALSegmentSize(1024),
 	}
 }
 
@@ -87,7 +87,7 @@ func crashOpsList() []crashOp {
 	}
 
 	add("create", func(h *crashHarness) error {
-		tbl, err := table.Create(crashSchema(), crashOpts(h.fs))
+		tbl, err := table.Create(crashSchema(), crashOpts(h.fs)...)
 		if err != nil {
 			return err
 		}
@@ -211,7 +211,7 @@ func sameMultiset(a, b map[tkey]int) bool {
 // partially).
 func verifyCrashState(t *testing.T, fs *simdisk.FaultFS, snaps []map[tkey]int, acked int, tag string) {
 	t.Helper()
-	tbl, err := table.Open(crashDBPath, crashOpts(fs))
+	tbl, err := table.Open(crashDBPath, crashOpts(fs)...)
 	if err != nil {
 		if acked == 0 {
 			// The crash predates a durable create; there is nothing to open.
@@ -220,7 +220,7 @@ func verifyCrashState(t *testing.T, fs *simdisk.FaultFS, snaps []map[tkey]int, a
 		t.Fatalf("%s: reopen failed with %d ops acked: %v\ndisk:\n%s", tag, acked, err, fs.DumpTree())
 	}
 	defer tbl.Close()
-	if err := tbl.CheckInvariants(); err != nil {
+	if err := tbl.Check(); err != nil {
 		t.Fatalf("%s: invariants after recovery: %v", tag, err)
 	}
 	got := map[tkey]int{}
@@ -336,7 +336,7 @@ func TestKillDuringRecovery(t *testing.T) {
 	fs0, acked := build()
 	// Count recovery's own ticks.
 	fs0.CrashAt(1 << 60)
-	tbl, err := table.Open(crashDBPath, crashOpts(fs0))
+	tbl, err := table.Open(crashDBPath, crashOpts(fs0)...)
 	if err != nil {
 		t.Fatalf("baseline recovery failed: %v", err)
 	}
@@ -354,7 +354,7 @@ func TestKillDuringRecovery(t *testing.T) {
 			t.Fatalf("non-deterministic build: %d vs %d acked", acked2, acked)
 		}
 		fs.CrashAt(k)
-		if tbl, err := table.Open(crashDBPath, crashOpts(fs)); err == nil {
+		if tbl, err := table.Open(crashDBPath, crashOpts(fs)...); err == nil {
 			// Recovery got far enough before tick k; close may still crash.
 			tbl.Close() //nolint:errcheck // crash injection: error expected
 		}

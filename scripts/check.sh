@@ -2,15 +2,17 @@
 # check.sh — the repo's one-command verification gate.
 #
 # Runs, in order: formatting, go vet, the build, the avqlint static-analysis
-# suite (internal/analysis), the full test suite, and the race-focused test
-# run over the concurrency-sensitive packages. Fails fast on the first
+# suite (internal/analysis), the full test suite, the race-focused test
+# run over the concurrency-sensitive packages, and vet plus the smoke test
+# of the benchmark module under perfbench/ (its own go.mod), so an API the
+# benchmark calls cannot disappear unnoticed. Fails fast on the first
 # broken stage so CI output points at one problem.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 echo "== gofmt"
-unformatted=$(gofmt -l cmd internal examples *.go)
+unformatted=$(gofmt -l cmd internal examples perfbench *.go)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:" >&2
     echo "$unformatted" >&2
@@ -40,5 +42,8 @@ go test -race ./internal/buffer ./internal/table ./internal/simdisk \
     ./internal/blockstore ./internal/extsort ./internal/exec ./internal/obs \
     ./internal/core ./internal/analysis ./internal/wal \
     ./internal/backend ./internal/shard ./internal/server
+
+echo "== perfbench (benchmark module: vet + smoke test against the current API)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "check.sh: all gates passed"
