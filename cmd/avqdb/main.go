@@ -379,12 +379,11 @@ func query(ctx context.Context, a args) error {
 }
 
 // pathLine renders a query's access-path counters: the I/O split between
-// disk reads and cache hits, the blocks the φ-fences pruned, and how many
-// reads decoded only a span of the block. Queries that ran on the
-// columnar batch executor also report the slabs and the rows they held.
+// disk reads and cache hits, the blocks the φ-fences pruned, and the φ
+// slabs decoded with the rows they held.
 func pathLine(st *server.StatsJSON, total int) string {
-	line := fmt.Sprintf("%s path: %d of %d blocks read (%d from cache), %d pruned by fence, %d partial decodes",
-		st.Strategy, st.BlocksRead, total, st.CacheHits, st.BlocksPruned, st.PartialDecodes)
+	line := fmt.Sprintf("%s path: %d of %d blocks read (%d from cache), %d pruned by fence",
+		st.Strategy, st.BlocksRead, total, st.CacheHits, st.BlocksPruned)
 	if st.BatchBlocks > 0 {
 		line += fmt.Sprintf("; batch: %d slabs, %d rows", st.BatchBlocks, st.SlabRows)
 	}
@@ -435,7 +434,7 @@ func groupBy(ctx context.Context, a args) error {
 // joinCmd merge-joins the -db table with the -with table on both
 // clustering attributes, printing a row count and the join's access-path
 // accounting: per-side I/O, fence-level pruning from the sparse-key
-// seeks, and the columnar slab counters.
+// seeks, and the φ slab counters.
 func joinCmd(ctx context.Context, a args) error {
 	if a.with == "" {
 		return fmt.Errorf("join needs -with")

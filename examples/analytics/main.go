@@ -64,8 +64,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("executed: %d rows via %s path, %d blocks read (%d cache hits), %d fence-pruned, %d partial decodes\n\n",
-		len(matched), stats.Strategy, stats.BlocksRead, stats.CacheHits, stats.BlocksPruned, stats.PartialDecodes)
+	fmt.Printf("executed: %d rows via %s path, %d blocks read (%d cache hits), %d fence-pruned\n\n",
+		len(matched), stats.Strategy, stats.BlocksRead, stats.CacheHits, stats.BlocksPruned)
 
 	// Streaming aggregates: revenue-style rollup without materializing.
 	agg, aggStats, err := tbl.AggregateRangeContext(ctx, 2, 0, 2, 3) // units over channels 0-2
@@ -77,14 +77,13 @@ func main() {
 
 	// A clustered range shows the executor's φ-fence pruning at its best:
 	// only the blocks whose fences intersect [2,4] are ever touched, and
-	// the two boundary blocks are span-decoded rather than fully decoded.
+	// each decoded slab is clipped to the range by binary search.
 	sel, selStats, err := tbl.SelectRangeContext(ctx, 0, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("regions 2-4: %d rows; executor pruned %d of %d blocks by fence, %d full / %d partial decodes\n\n",
-		len(sel), selStats.BlocksPruned, tbl.NumBlocks(),
-		selStats.BlocksRead+selStats.CacheHits-selStats.PartialDecodes, selStats.PartialDecodes)
+	fmt.Printf("regions 2-4: %d rows; executor pruned %d of %d blocks by fence, decoded %d\n\n",
+		len(sel), selStats.BlocksPruned, tbl.NumBlocks(), selStats.BlocksRead+selStats.CacheHits)
 
 	// Bulk maintenance: a day's new facts arrive as one batch.
 	batch := make([]relation.Tuple, 5000)

@@ -61,7 +61,7 @@ func TestAnalyzersGolden(t *testing.T) {
 			rule: "arenaescape",
 			want: []string{
 				`arenaescape.go:25:12: slab-backed tuple "ts" (from DecodeBlockArena) stored into a field; arena memory is recycled on Reset — Clone() it first`,
-				`arenaescape.go:35:12: slab-backed tuple "ts" (from DecodeTupleSpanArena) stored into a field; arena memory is recycled on Reset — Clone() it first`,
+				`arenaescape.go:35:12: slab-backed tuple "ts" (from DecodeBlockArena) stored into a field; arena memory is recycled on Reset — Clone() it first`,
 				`arenaescape.go:42:11: slab-backed tuple "tu" (from Arena.Tuple) sent on a channel; arena memory is recycled on Reset — Clone() it first`,
 				`arenaescape.go:52:11: slab-backed tuple "u" (from DecodeBlockArena) stored into a field; arena memory is recycled on Reset — Clone() it first`,
 				`arenaescape.go:69:12: slab-backed tuple "ts" (from DecodeBlockArena) stored into a field; arena memory is recycled on Reset — Clone() it first`,

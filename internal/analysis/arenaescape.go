@@ -20,15 +20,15 @@ const relationPkg = "internal/relation"
 
 // AnalyzerArenaEscape flags slab-backed tuples that escape to the heap.
 // The arena decode kernels (core.DecodeBlockArena and friends,
-// Arena.Tuple/Tuples, Store/Snapshot.ReadBlockArena) return
+// Arena.Tuple/Tuples, Store.ReadBlockArena) return
 // relation.Tuple values whose digits alias the arena's slab; the slab is
 // recycled on the next Arena.Reset, so the tuples are only valid for
 // transient use. Storing one into a struct field or sending it on a
 // channel without an explicit Clone() silently retains memory a later
-// decode will overwrite. The batch executor's φ-slab reads
+// decode will overwrite. The executor's φ-slab reads
 // (core.DecodeBlockPhis, Arena.Phis, Snapshot.ReadPhis) carve raw
-// []uint64 ordinal slabs from the same arenas and are tracked the same
-// way, with copy-out instead of Clone as the fix.
+// []uint64 limb slabs from the same arenas and are tracked the same way,
+// with copy-out instead of Clone as the fix.
 //
 // It supersedes the old arenaalias rule with a type-aware, flow-sensitive
 // taint analysis over the CFG: only variables whose static type is
@@ -329,7 +329,7 @@ func arenaYieldingCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 				return "Arena." + name, true
 			}
 		case "ReadBlockArena":
-			if namedFrom(t, blockstorePkg, "Store") || namedFrom(t, blockstorePkg, "Snapshot") {
+			if namedFrom(t, blockstorePkg, "Store") {
 				return name, true
 			}
 		case "ReadPhis":
@@ -344,7 +344,7 @@ func arenaYieldingCall(pkg *Package, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch sel.Sel.Name {
-	case "DecodeBlockArena", "DecodeTupleSpanArena", "DecodeTupleAtArena", "DecodeBlockPhis":
+	case "DecodeBlockArena", "DecodeBlockPhis":
 	default:
 		return "", false
 	}

@@ -28,7 +28,7 @@ func (k *sink) keepBlock(s *relation.Schema, buf []byte, a *core.Arena) error {
 
 // keepElement retains one slab-backed element through append.
 func (k *sink) keepElement(s *relation.Schema, buf []byte, a *core.Arena) error {
-	ts, err := core.DecodeTupleSpanArena(s, buf, 0, 4, a)
+	ts, err := core.DecodeBlockArena(s, buf, a)
 	if err != nil {
 		return err
 	}
@@ -80,8 +80,8 @@ func (k *sink) goodClone(s *relation.Schema, buf []byte, a *core.Arena) error {
 	return nil
 }
 
-// goodTransient folds over the tuples without retaining them.
-func goodTransient(s *relation.Schema, buf []byte, a *core.Arena) (uint64, error) {
+// goodFold folds over the tuples without retaining them.
+func goodFold(s *relation.Schema, buf []byte, a *core.Arena) (uint64, error) {
 	ts, err := core.DecodeBlockArena(s, buf, a)
 	if err != nil {
 		return 0, err
@@ -130,8 +130,8 @@ func (k *sink) suppressed(s *relation.Schema, buf []byte, a *core.Arena) error {
 	return nil
 }
 
-// phiSink exercises the φ-slab half of the rule: the batch executor's
-// []uint64 ordinal slabs are carved from the same arenas as tuples.
+// phiSink exercises the φ-slab half of the rule: the executor's []uint64
+// limb slabs are carved from the same arenas as tuples.
 type phiSink struct {
 	phis []uint64
 	out  chan []uint64
@@ -139,7 +139,7 @@ type phiSink struct {
 
 // keepPhis retains a φ slab read straight off a snapshot block.
 func (k *phiSink) keepPhis(sn *blockstore.Snapshot, a *core.Arena) error {
-	phis, _, _, err := sn.ReadPhis(0, a, nil)
+	phis, _, err := sn.ReadPhis(0, a)
 	if err != nil {
 		return err
 	}
@@ -164,9 +164,9 @@ func (k *phiSink) sendPhis(a *core.Arena, n int) {
 	k.out <- phis
 }
 
-// goodTransientPhis folds over the slab without retaining it.
-func goodTransientPhis(sn *blockstore.Snapshot, a *core.Arena) (uint64, error) {
-	phis, _, _, err := sn.ReadPhis(0, a, nil)
+// goodFoldPhis folds over the slab without retaining it.
+func goodFoldPhis(sn *blockstore.Snapshot, a *core.Arena) (uint64, error) {
+	phis, _, err := sn.ReadPhis(0, a)
 	if err != nil {
 		return 0, err
 	}

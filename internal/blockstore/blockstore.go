@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/ordinal"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -435,24 +436,36 @@ func (s *Store) decodeBlockCached(id storage.PageID) ([]relation.Tuple, error) {
 	return tuples, err
 }
 
-// decodeBlockCachedHit is decodeBlockCachedHitArena with a fresh arena,
-// for callers that keep the allocating contract.
-func (s *Store) decodeBlockCachedHit(id storage.PageID) ([]relation.Tuple, bool, error) {
-	return s.decodeBlockCachedHitArena(id, nil)
-}
-
 // decodeBlockCachedHitArena is decodeBlockCached, also reporting whether
-// the cache served the block without a page read. Callers always receive
-// tuples they own until the arena's next Reset: cache hits are slab copies
-// into the arena and misses are decoded straight into it.
+// the cache served the block without a page read. It reads the block's φ
+// slab through readPhis and inverts every row into tuples carved from the
+// same arena, so callers own them until the arena's next Reset.
 func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]relation.Tuple, bool, error) {
 	if a == nil {
 		a = core.NewArena()
 	}
-	n := s.schema.NumAttrs()
+	phis, hit, err := s.readPhis(id, a)
+	if err != nil {
+		return nil, false, err
+	}
+	k := s.schema.Limbs().K
+	tuples := a.Tuples(len(phis)/k, s.schema.NumAttrs())
+	for i, tu := range tuples {
+		if _, err := ordinal.PhiInverseLimbs(s.schema, tu, phis[i*k:(i+1)*k]); err != nil {
+			return nil, false, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
+		}
+	}
+	return tuples, hit, nil
+}
+
+// readPhis is the store's one block read: block id's φ slab (stride
+// Limbs().K), carved from a. A cache hit copies the cached slab; a miss
+// decodes the pinned page with core.DecodeBlockPhis, timed by the decode
+// instruments (hits are not decodes), and fills the cache.
+func (s *Store) readPhis(id storage.PageID, a *core.Arena) ([]uint64, bool, error) {
 	if c := s.cache; c != nil {
-		if tuples, ok := c.get(id, n, a); ok {
-			return tuples, true, nil
+		if phis, ok := c.getPhis(id, a); ok {
+			return phis, true, nil
 		}
 	}
 	frame, err := s.pool.Get(id)
@@ -461,15 +474,15 @@ func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]r
 	}
 	defer s.pool.Unpin(frame)
 	data := frame.Data()
-	l := binary.BigEndian.Uint32(data[:lenPrefix])
-	if int(l) > s.capacity() {
+	l := int(binary.BigEndian.Uint32(data[:lenPrefix]))
+	if l > s.capacity() {
 		return nil, false, fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
 	}
 	var t0 time.Time
 	if s.met.decodeHist != nil {
 		t0 = time.Now()
 	}
-	tuples, err := core.DecodeBlockArena(s.schema, data[lenPrefix:lenPrefix+int(l)], a)
+	phis, err := core.DecodeBlockPhis(s.schema, data[lenPrefix:lenPrefix+l], a)
 	if s.met.decodeHist != nil {
 		s.met.decodeHist.Observe(time.Since(t0))
 		s.met.decodes.Inc()
@@ -478,9 +491,9 @@ func (s *Store) decodeBlockCachedHitArena(id storage.PageID, a *core.Arena) ([]r
 		return nil, false, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
 	}
 	if c := s.cache; c != nil {
-		c.put(id, tuples, n)
+		c.put(id, phis)
 	}
-	return tuples, false, nil
+	return phis, false, nil
 }
 
 // MutationResult reports how an insert or delete changed the block layout,

@@ -4,22 +4,21 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
-// blockCache is an LRU cache of decoded blocks keyed by page id. Repeated
-// range selections over the same blocks skip the Golomb/difference decode
-// entirely and pay only a tuple copy.
+// blockCache is an LRU cache of decoded blocks keyed by page id, held as
+// the φ slabs (stride Limbs().K) the executor consumes. Repeated reads of
+// the same blocks skip the difference-chain decode entirely and pay only
+// a slab copy.
 //
-// The cache owns its entries: each block's digits live in one flat uint64
-// slab, and lookups copy that slab into the caller's arena, so a caller
-// that scribbles on a returned tuple cannot poison later reads (the serial
-// decode path hands out fresh tuples per call, and the cached path must be
-// observationally identical). A hit therefore costs one slab carve plus a
-// memmove per row — no per-tuple allocation. It has its own lock because
-// concurrent readers (lock-free table queries, the parallel scan pipeline)
-// share it while the store itself is only locked for mutation.
+// The cache owns its entries: lookups copy the slab into the caller's
+// arena, so a
+// caller that scribbles on a returned slab cannot poison later reads. A
+// hit therefore costs one arena carve plus a memmove — no per-row
+// allocation. It has its own lock because concurrent readers (lock-free
+// table queries, the parallel scan pipeline) share it while the store
+// itself is only locked for mutation.
 //
 // Invalidation is by page id and happens whenever the store frees a block
 // page (rewrite, split, remove, reset). Page ids are reused by the pagers'
@@ -40,8 +39,7 @@ type blockCache struct {
 
 type cacheEntry struct {
 	id         storage.PageID
-	count      int      // tuples in the block
-	vals       []uint64 // count*arity digits, row-major
+	phis       []uint64 // the block's φ slab
 	prev, next *cacheEntry
 }
 
@@ -100,81 +98,43 @@ func (c *blockCache) pushFront(e *cacheEntry) {
 	}
 }
 
-// flattenTuples packs a decoded block's digits into one row-major slab —
-// a single allocation, versus one per tuple for a header-slice deep copy.
-func flattenTuples(ts []relation.Tuple, n int) []uint64 {
-	vals := make([]uint64, 0, len(ts)*n)
-	for _, tu := range ts {
-		vals = append(vals, tu...)
-	}
-	return vals
-}
-
-// get copies the cached block into the caller's arena, if present. n is
-// the schema arity (every cached block shares the store's schema).
-func (c *blockCache) get(id storage.PageID, n int, a *core.Arena) ([]relation.Tuple, bool) {
+// lookup returns the cached slab for id, counting the hit or miss. The
+// slab is never mutated after insertion, only replaced wholesale by put,
+// so callers may read it outside the lock.
+func (c *blockCache) lookup(id storage.PageID) ([]uint64, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[id]
 	if !ok {
 		c.misses++
-		c.mu.Unlock()
 		return nil, false
 	}
 	c.hits++
 	c.unlink(e)
 	c.pushFront(e)
-	vals, count := e.vals, e.count
-	c.mu.Unlock()
-	// Copy outside the lock: the entry's slab is never mutated after
-	// insertion, only replaced wholesale by put.
-	out := a.Tuples(count, n)
-	for i := range out {
-		copy(out[i], vals[i*n:])
-	}
-	return out, true
+	return e.phis, true
 }
 
-// getPhis computes the cached block's φ sequence into the caller's arena,
-// if present. The cached slab is row-major digits, so φ per row is one
-// Horner fold (Eq. 2.2) — no tuple headers, no copy of the digits
-// themselves. Misses are not counted against the cache: the batch pass
-// falls through to a stream decode and the tuple path may still hit.
-func (c *blockCache) getPhis(id storage.PageID, s *relation.Schema, a *core.Arena) ([]uint64, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[id]
+// getPhis copies the cached block's φ slab into the caller's arena, if
+// present.
+func (c *blockCache) getPhis(id storage.PageID, a *core.Arena) ([]uint64, bool) {
+	phis, ok := c.lookup(id)
 	if !ok {
-		c.misses++
-		c.mu.Unlock()
 		return nil, false
 	}
-	c.hits++
-	c.unlink(e)
-	c.pushFront(e)
-	vals, count := e.vals, e.count
-	c.mu.Unlock()
-	// Fold outside the lock: the entry's slab is never mutated after
-	// insertion, only replaced wholesale by put.
-	n := s.NumAttrs()
-	out := a.Phis(count)
-	for i := 0; i < count; i++ {
-		var phi uint64
-		for j, v := range vals[i*n : (i+1)*n] {
-			phi = phi*s.Domain(j).Size + v
-		}
-		out[i] = phi
-	}
+	out := a.Phis(len(phis))
+	copy(out, phis)
 	return out, true
 }
 
-// put stores a slab copy of the freshly decoded block, evicting the least
-// recently used entry when full.
-func (c *blockCache) put(id storage.PageID, tuples []relation.Tuple, n int) {
-	vals := flattenTuples(tuples, n)
-	count := len(tuples)
+// put stores a copy of a freshly decoded block's φ slab, evicting the
+// least recently used entry when full.
+func (c *blockCache) put(id storage.PageID, phis []uint64) {
+	phis = append([]uint64(nil), phis...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[id]; ok {
-		e.vals, e.count = vals, count
+		e.phis = phis
 		c.unlink(e)
 		c.pushFront(e)
 		return
@@ -187,7 +147,7 @@ func (c *blockCache) put(id storage.PageID, tuples []relation.Tuple, n int) {
 		c.unlink(victim)
 		delete(c.entries, victim.id)
 	}
-	e := &cacheEntry{id: id, count: count, vals: vals}
+	e := &cacheEntry{id: id, phis: phis}
 	c.entries[id] = e
 	c.pushFront(e)
 }

@@ -77,8 +77,8 @@ func TestErrCorruptBlockHeader(t *testing.T) {
 	}
 	sn := s.Snapshot()
 	defer sn.Release()
-	if _, err := sn.ReadStream(0); !errors.Is(err, ErrCorruptBlock) {
-		t.Fatalf("header-corrupt ReadStream error = %v, want ErrCorruptBlock", err)
+	if _, _, err := sn.ReadPhis(0, core.NewArena()); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("header-corrupt ReadPhis error = %v, want ErrCorruptBlock", err)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestErrSnapshotStale(t *testing.T) {
 	if _, _, err := sn.ReadBlock(0); !errors.Is(err, ErrSnapshotStale) {
 		t.Fatalf("stale ReadBlock error = %v, want ErrSnapshotStale", err)
 	}
-	if _, err := sn.ReadStream(0); !errors.Is(err, ErrSnapshotStale) {
-		t.Fatalf("stale ReadStream error = %v, want ErrSnapshotStale", err)
+	if _, _, err := sn.ReadPhis(0, core.NewArena()); !errors.Is(err, ErrSnapshotStale) {
+		t.Fatalf("stale ReadPhis error = %v, want ErrSnapshotStale", err)
 	}
 }
 

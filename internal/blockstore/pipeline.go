@@ -65,17 +65,14 @@ func (s *Store) Configure(cfg Config) {
 			snapshots:     cfg.Obs.Counter("store.snapshots"),
 			snapshotsLive: cfg.Obs.Gauge("store.snapshots_live"),
 			exec: &ExecMetrics{
-				BlocksRead:     cfg.Obs.Counter("exec.blocks_read"),
-				BlocksPruned:   cfg.Obs.Counter("exec.blocks_pruned"),
-				CacheHits:      cfg.Obs.Counter("exec.cache_hits"),
-				PartialDecodes: cfg.Obs.Counter("exec.partial_decodes"),
-				FullDecodes:    cfg.Obs.Counter("exec.full_decodes"),
-				Rows:           cfg.Obs.Counter("exec.rows"),
-				ArenaReuses:    cfg.Obs.Counter("exec.arena_reuses"),
-				SlabBytes:      cfg.Obs.Counter("exec.slab_bytes"),
-				FlatHits:       cfg.Obs.Counter("exec.flat_hits"),
-				BatchBlocks:    cfg.Obs.Counter("exec.batch_blocks"),
-				SlabRows:       cfg.Obs.Counter("exec.slab_rows"),
+				BlocksRead:   cfg.Obs.Counter("exec.blocks_read"),
+				BlocksPruned: cfg.Obs.Counter("exec.blocks_pruned"),
+				CacheHits:    cfg.Obs.Counter("exec.cache_hits"),
+				Rows:         cfg.Obs.Counter("exec.rows"),
+				ArenaReuses:  cfg.Obs.Counter("exec.arena_reuses"),
+				SlabBytes:    cfg.Obs.Counter("exec.slab_bytes"),
+				BatchBlocks:  cfg.Obs.Counter("exec.batch_blocks"),
+				SlabRows:     cfg.Obs.Counter("exec.slab_rows"),
 			},
 		}
 	} else {
@@ -100,17 +97,14 @@ type storeMetrics struct {
 // off the store (resolved once in Configure) so the executor never takes
 // the registry's registration lock on a query path.
 type ExecMetrics struct {
-	BlocksRead     *obs.Counter
-	BlocksPruned   *obs.Counter
-	CacheHits      *obs.Counter
-	PartialDecodes *obs.Counter
-	FullDecodes    *obs.Counter
-	Rows           *obs.Counter
-	ArenaReuses    *obs.Counter
-	SlabBytes      *obs.Counter
-	FlatHits       *obs.Counter
-	BatchBlocks    *obs.Counter
-	SlabRows       *obs.Counter
+	BlocksRead   *obs.Counter
+	BlocksPruned *obs.Counter
+	CacheHits    *obs.Counter
+	Rows         *obs.Counter
+	ArenaReuses  *obs.Counter
+	SlabBytes    *obs.Counter
+	BatchBlocks  *obs.Counter
+	SlabRows     *obs.Counter
 }
 
 // timeEncode wraps core.EncodeBlock with the store's encode instruments.

@@ -11,7 +11,6 @@
 package blockstore
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -160,93 +159,26 @@ func (sn *Snapshot) Pos(id storage.PageID) (int, bool) {
 // Schema returns the store's schema.
 func (sn *Snapshot) Schema() *relation.Schema { return sn.s.schema }
 
-// Codec returns the store's block codec.
-func (sn *Snapshot) Codec() core.Codec { return sn.s.codec }
-
 // ReadBlock decodes the i-th block, consulting the decoded-block cache;
 // hit reports whether the cache served it without a page read. After
 // Release it fails with ErrSnapshotStale: the pages the snapshot pinned
 // may already be recycled.
 func (sn *Snapshot) ReadBlock(i int) (tuples []relation.Tuple, hit bool, err error) {
-	return sn.ReadBlockArena(i, nil)
-}
-
-// ReadBlockArena is ReadBlock with the decoded tuples carved from the
-// caller's arena (a fresh internal one when a is nil). The tuples alias
-// the arena's slab and are valid only until its next Reset.
-func (sn *Snapshot) ReadBlockArena(i int, a *core.Arena) (tuples []relation.Tuple, hit bool, err error) {
 	if sn.released {
 		return nil, false, fmt.Errorf("%w: ReadBlock(%d)", ErrSnapshotStale, i)
 	}
-	return sn.s.decodeBlockCachedHitArena(sn.m.blocks[i], a)
+	return sn.s.decodeBlockCachedHitArena(sn.m.blocks[i], nil)
 }
 
-// ReadPhis decodes the i-th block straight to its φ-ordinal slab, carved
-// from the caller's arena — the batch executor's block read. A cache hit
-// Horner-folds the cached row-major digit slab (no tuple headers built); a
-// miss copies the coded stream into buf and walks it with
-// core.DecodeBlockPhis. The possibly-grown stream buffer is returned for
-// reuse across blocks. Misses do not populate the decoded-block cache: the
-// batch pass streams each block once, and slab entries it will never
-// revisit would only evict tuple entries that selective queries do.
-func (sn *Snapshot) ReadPhis(i int, a *core.Arena, buf []byte) (phis []uint64, nbuf []byte, hit bool, err error) {
+// ReadPhis decodes the i-th block straight to its φ slab (stride
+// Limbs().K), carved from the caller's arena — the executor's block read.
+// A cache hit copies the cached slab; a miss decodes the pinned page (see
+// Store.readPhis).
+func (sn *Snapshot) ReadPhis(i int, a *core.Arena) (phis []uint64, hit bool, err error) {
 	if sn.released {
-		return nil, buf, false, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
+		return nil, false, fmt.Errorf("%w: ReadPhis(%d)", ErrSnapshotStale, i)
 	}
-	id := sn.m.blocks[i]
-	if c := sn.s.cache; c != nil {
-		if phis, ok := c.getPhis(id, sn.s.schema, a); ok {
-			return phis, buf, true, nil
-		}
-	}
-	stream, err := sn.s.readStream(id, buf[:0])
-	if err != nil {
-		return nil, buf, false, err
-	}
-	phis, err = core.DecodeBlockPhis(sn.s.schema, stream, a)
-	if err != nil {
-		return nil, stream, false, fmt.Errorf("%w: page %d: %w", ErrCorruptBlock, id, err)
-	}
-	return phis, stream, false, nil
-}
-
-// ReadStream copies the i-th block's coded stream off its page, for
-// partial decoding without materializing the block. After Release it
-// fails with ErrSnapshotStale.
-func (sn *Snapshot) ReadStream(i int) ([]byte, error) {
-	return sn.ReadStreamInto(i, nil)
-}
-
-// ReadStreamInto is ReadStream appending into dst (which may be nil),
-// letting per-query buffers absorb the copy across blocks.
-func (sn *Snapshot) ReadStreamInto(i int, dst []byte) ([]byte, error) {
-	if sn.released {
-		return nil, fmt.Errorf("%w: ReadStream(%d)", ErrSnapshotStale, i)
-	}
-	return sn.s.readStream(sn.m.blocks[i], dst)
-}
-
-// readStream appends a copy of the coded stream stored on page id to dst.
-func (s *Store) readStream(id storage.PageID, dst []byte) ([]byte, error) {
-	frame, err := s.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	data := frame.Data()
-	l := int(binary.BigEndian.Uint32(data[:lenPrefix]))
-	var stream []byte
-	if l > s.capacity() {
-		err = fmt.Errorf("%w: page %d claims stream of %d bytes", ErrCorruptBlock, id, l)
-	} else {
-		stream = append(dst, data[lenPrefix:lenPrefix+l]...)
-	}
-	if uerr := s.pool.Unpin(frame); err == nil {
-		err = uerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return stream, nil
+	return sn.s.readPhis(sn.m.blocks[i], a)
 }
 
 // AdoptFences installs fences for a restored layout whose blocks were

@@ -80,10 +80,9 @@ func (a *Arena) Tuple(n int) relation.Tuple {
 	return relation.Tuple(a.vals[at : at+n : at+n])
 }
 
-// Phis carves an n-entry flat-ordinal slab from the arena — the batch
-// executor's per-block φ sequence. Like Tuple it is a full-slice
-// expression over a disjoint slab range, not zeroed, and valid until the
-// next Reset.
+// Phis carves an n-word φ slab from the arena — the executor's per-block
+// limb rows. Like Tuple it is a full-slice expression over a disjoint
+// slab range, not zeroed, and valid until the next Reset.
 func (a *Arena) Phis(n int) []uint64 { return []uint64(a.Tuple(n)) }
 
 // Tuples carves count tuples of n digits each, backed by one contiguous

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 func TestArenaTuplesDisjoint(t *testing.T) {
@@ -104,8 +102,7 @@ func TestArenaPoolStress(t *testing.T) {
 
 // TestDecodeBlockArenaMatchesAllocating is the arena/allocating
 // differential: for every codec, both full-block decode paths must produce
-// element-equal tuples, as must span decodes, partial probes, and
-// tuple-at decodes.
+// element-equal tuples, as must tuple-at decodes.
 func TestDecodeBlockArenaMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 40; iter++ {
@@ -133,43 +130,14 @@ func TestDecodeBlockArenaMatchesAllocating(t *testing.T) {
 					t.Fatalf("%v: tuple %d: arena %v, allocating %v", c, i, got[i], ref[i])
 				}
 			}
-			// Span decode against the same reference.
-			from := rng.Intn(len(block))
-			to := from + 1 + rng.Intn(len(block)-from)
-			a.Reset()
-			span, err := DecodeTupleSpanArena(s, enc, from, to, a)
-			if err != nil {
-				t.Fatalf("%v: arena span [%d,%d): %v", c, from, to, err)
-			}
-			for i := range span {
-				if s.Compare(span[i], ref[from+i]) != 0 {
-					t.Fatalf("%v: span tuple %d mismatch", c, from+i)
-				}
-			}
 			// Point decode.
 			idx := rng.Intn(len(block))
-			a.Reset()
-			tu, err := DecodeTupleAtArena(s, enc, idx, a)
+			tu, err := DecodeTupleAt(s, enc, idx)
 			if err != nil {
-				t.Fatalf("%v: arena at %d: %v", c, idx, err)
+				t.Fatalf("%v: at %d: %v", c, idx, err)
 			}
 			if s.Compare(tu, ref[idx]) != 0 {
 				t.Fatalf("%v: tuple at %d mismatch", c, idx)
-			}
-			// Search probes through the arena agree with the allocating path.
-			pivot := ref[len(ref)/2].Clone()
-			pred := func(x relation.Tuple) bool { return s.Compare(x, pivot) >= 0 }
-			wantPos, err := SearchBlock(s, enc, pred)
-			if err != nil {
-				t.Fatalf("%v: search: %v", c, err)
-			}
-			a.Reset()
-			gotPos, err := SearchBlockArena(s, enc, pred, a)
-			if err != nil {
-				t.Fatalf("%v: arena search: %v", c, err)
-			}
-			if gotPos != wantPos {
-				t.Fatalf("%v: arena search = %d, allocating = %d", c, gotPos, wantPos)
 			}
 			PutArena(a)
 		}
@@ -200,33 +168,6 @@ func TestDecodeBlockArenaZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: steady-state DecodeBlockArena allocates %.1f objects/op, want 0", c, allocs)
-		}
-	}
-}
-
-// TestDecodeTupleSpanArenaZeroAllocs pins the span path the executor's
-// partial decodes ride on.
-func TestDecodeTupleSpanArenaZeroAllocs(t *testing.T) {
-	s := employeeSchema(t)
-	rng := rand.New(rand.NewSource(12))
-	block := randomSortedBlock(s, rng, 64)
-	for _, c := range []Codec{CodecAVQ, CodecRepOnly, CodecDeltaChain} {
-		enc, err := EncodeBlock(c, s, block, nil)
-		if err != nil {
-			t.Fatalf("%v: encode: %v", c, err)
-		}
-		a := NewArena()
-		if _, err := DecodeTupleSpanArena(s, enc, 10, 50, a); err != nil {
-			t.Fatalf("%v: warm-up span: %v", c, err)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			a.Reset()
-			if _, err := DecodeTupleSpanArena(s, enc, 10, 50, a); err != nil {
-				t.Fatalf("%v: span: %v", c, err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: steady-state DecodeTupleSpanArena allocates %.1f objects/op, want 0", c, allocs)
 		}
 	}
 }

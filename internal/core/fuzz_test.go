@@ -5,107 +5,123 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/ordinal"
 	"repro/internal/relation"
 )
 
-// FuzzDecodeBlock drives DecodeBlock and DecodeTupleAt with arbitrary
-// bytes. Properties: no panics; anything that decodes successfully
-// re-encodes to a stream that decodes to the same tuples (decode is a
-// retraction of encode).
+// FuzzDecodeBlock drives the decoders with arbitrary bytes, reading each
+// input under a one-limb schema and a two-limb one. Properties: no
+// panics; the limb slab decode (the executor's kernel) and the tuple
+// decode (maintenance's) accept or reject together, and when they accept
+// every slab row is the limb form of the matching tuple; anything that
+// decodes re-encodes to a stream that decodes to the same tuples (decode
+// is a retraction of encode).
 func FuzzDecodeBlock(f *testing.F) {
-	s := relation.MustSchema(
-		relation.Domain{Name: "a", Size: 8},
-		relation.Domain{Name: "b", Size: 300},
-		relation.Domain{Name: "c", Size: 64},
-	)
+	schemas := []*relation.Schema{
+		relation.MustSchema(
+			relation.Domain{Name: "a", Size: 8},
+			relation.Domain{Name: "b", Size: 300},
+			relation.Domain{Name: "c", Size: 64},
+		),
+		relation.MustSchema(
+			relation.Domain{Name: "a", Size: 8},
+			relation.Domain{Name: "b", Size: 1 << 62},
+			relation.Domain{Name: "c", Size: 300},
+		),
+	}
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range allCodecs() {
-		block := randomSortedBlock(s, rng, 20)
-		enc, err := EncodeBlock(c, s, block, nil)
-		if err != nil {
-			f.Fatal(err)
+	for _, s := range schemas {
+		for _, c := range allCodecs() {
+			block := randomSortedBlock(s, rng, 20)
+			enc, err := EncodeBlock(c, s, block, nil)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(enc)
 		}
-		f.Add(enc)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xA7, 0x01, 0x00})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tuples, err := DecodeBlock(s, data)
-		if err != nil {
-			return
-		}
-		for _, tu := range tuples {
-			if err := s.ValidateTuple(tu); err != nil {
-				t.Fatalf("decode produced invalid tuple %v: %v", tu, err)
-			}
-		}
-		// Partial decode must agree wherever the full decode succeeded.
-		for idx := range tuples {
-			got, err := DecodeTupleAt(s, data, idx)
-			if err != nil {
-				t.Fatalf("full decode succeeded but partial at %d failed: %v", idx, err)
-			}
-			if s.Compare(got, tuples[idx]) != 0 {
-				t.Fatalf("partial decode at %d disagrees", idx)
-			}
-		}
-		// The arena kernels must be element-equal to the allocating paths
-		// on every stream the allocating path accepts.
-		a := GetArena()
-		defer PutArena(a)
-		av, err := DecodeBlockArena(s, data, a)
-		if err != nil {
-			t.Fatalf("allocating decode succeeded but arena decode failed: %v", err)
-		}
-		if len(av) != len(tuples) {
-			t.Fatalf("arena decode count %d != %d", len(av), len(tuples))
-		}
-		for i := range av {
-			if s.Compare(av[i], tuples[i]) != 0 {
-				t.Fatalf("arena decode tuple %d disagrees", i)
-			}
-		}
-		if len(tuples) > 0 {
-			a.Reset()
-			span, err := DecodeTupleSpanArena(s, data, 0, len(tuples), a)
-			if err != nil {
-				t.Fatalf("arena span decode failed: %v", err)
-			}
-			for i := range span {
-				if s.Compare(span[i], tuples[i]) != 0 {
-					t.Fatalf("arena span tuple %d disagrees", i)
-				}
-			}
-		}
-		// Re-encode and compare (the tuples are sorted by construction of
-		// any successfully decoded stream for the chained codecs; raw and
-		// rep-only blocks may decode unsorted tuples, so only check when
-		// sorted).
-		if !s.TuplesSorted(tuples) {
-			return
-		}
-		info, err := Inspect(data)
-		if err != nil {
-			t.Fatalf("decoded but Inspect failed: %v", err)
-		}
-		enc, err := EncodeBlock(info.Codec, s, tuples, nil)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		back, err := DecodeBlock(s, enc)
-		if err != nil {
-			t.Fatalf("re-encoded stream does not decode: %v", err)
-		}
-		if len(back) != len(tuples) {
-			t.Fatalf("round trip changed tuple count %d -> %d", len(tuples), len(back))
-		}
-		for i := range back {
-			if s.Compare(back[i], tuples[i]) != 0 {
-				t.Fatalf("round trip changed tuple %d", i)
-			}
+		for _, s := range schemas {
+			fuzzDecodeBlock(t, s, data)
 		}
 	})
+}
+
+func fuzzDecodeBlock(t *testing.T, s *relation.Schema, data []byte) {
+	a := GetArena()
+	defer PutArena(a)
+	k := s.Limbs().K
+	phis, slabErr := DecodeBlockPhis(s, data, a)
+	tuples, err := DecodeBlock(s, data)
+	if (err == nil) != (slabErr == nil) {
+		t.Fatalf("%v: tuple decode err = %v, slab decode err = %v", s, err, slabErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(phis) != len(tuples)*k {
+		t.Fatalf("%v: slab has %d words for %d tuples of %d limbs", s, len(phis), len(tuples), k)
+	}
+	want := make([]uint64, k)
+	for i, tu := range tuples {
+		if err := s.ValidateTuple(tu); err != nil {
+			t.Fatalf("decode produced invalid tuple %v: %v", tu, err)
+		}
+		if ordinal.CompareLimbs(phis[i*k:(i+1)*k], ordinal.PhiLimbs(s, want, tu)) != 0 {
+			t.Fatalf("%v: slab row %d = %v, tuple %v has limbs %v", s, i, phis[i*k:(i+1)*k], tu, want)
+		}
+	}
+	// Partial decode must agree wherever the full decode succeeded.
+	for idx := range tuples {
+		got, err := DecodeTupleAt(s, data, idx)
+		if err != nil {
+			t.Fatalf("full decode succeeded but partial at %d failed: %v", idx, err)
+		}
+		if s.Compare(got, tuples[idx]) != 0 {
+			t.Fatalf("partial decode at %d disagrees", idx)
+		}
+	}
+	// The arena kernel must be element-equal to the allocating path.
+	a.Reset()
+	av, err := DecodeBlockArena(s, data, a)
+	if err != nil {
+		t.Fatalf("allocating decode succeeded but arena decode failed: %v", err)
+	}
+	if len(av) != len(tuples) {
+		t.Fatalf("arena decode count %d != %d", len(av), len(tuples))
+	}
+	for i := range av {
+		if s.Compare(av[i], tuples[i]) != 0 {
+			t.Fatalf("arena decode tuple %d disagrees", i)
+		}
+	}
+	// Re-encode and compare: every accepted block is in φ order.
+	if !s.TuplesSorted(tuples) {
+		t.Fatalf("%v: decode accepted an unsorted block", s)
+	}
+	info, err := Inspect(data)
+	if err != nil {
+		t.Fatalf("decoded but Inspect failed: %v", err)
+	}
+	enc, err := EncodeBlock(info.Codec, s, tuples, nil)
+	if err != nil {
+		t.Fatalf("re-encode failed: %v", err)
+	}
+	back, err := DecodeBlock(s, enc)
+	if err != nil {
+		t.Fatalf("re-encoded stream does not decode: %v", err)
+	}
+	if len(back) != len(tuples) {
+		t.Fatalf("round trip changed tuple count %d -> %d", len(tuples), len(back))
+	}
+	for i := range back {
+		if s.Compare(back[i], tuples[i]) != 0 {
+			t.Fatalf("round trip changed tuple %d", i)
+		}
+	}
 }
 
 // FuzzEncodeArbitraryTuples feeds arbitrary digit material through the

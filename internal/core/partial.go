@@ -24,13 +24,6 @@ import (
 //	CodecRepOnly    O(idx) to skip earlier diffs, one subtraction/addition
 //	CodecDeltaChain O(idx) chain steps from the first tuple
 func DecodeTupleAt(s *relation.Schema, buf []byte, idx int) (relation.Tuple, error) {
-	return DecodeTupleAtArena(s, buf, idx, nil)
-}
-
-// DecodeTupleAtArena is DecodeTupleAt carving its result (and scratch) out
-// of the arena. The returned tuple aliases the arena's slab and is valid
-// until its next Reset. A nil arena decodes into a fresh one.
-func DecodeTupleAtArena(s *relation.Schema, buf []byte, idx int, a *Arena) (relation.Tuple, error) {
 	body, count, c, err := checkHeader(buf)
 	if err != nil {
 		return nil, err
@@ -38,9 +31,7 @@ func DecodeTupleAtArena(s *relation.Schema, buf []byte, idx int, a *Arena) (rela
 	if idx < 0 || idx >= count {
 		return nil, fmt.Errorf("core: tuple index %d out of range [0,%d)", idx, count)
 	}
-	if a == nil {
-		a = NewArena()
-	}
+	a := NewArena()
 	switch c {
 	case CodecRaw:
 		m := s.RowSize()
@@ -211,265 +202,6 @@ func decodeRepOnlyAt(s *relation.Schema, count int, body []byte, idx int, a *Are
 		return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, idx, err)
 	}
 	return out, nil
-}
-
-// DecodeTupleSpan reconstructs the tuples at positions [from, to) of an
-// encoded block, in phi order, without materializing the rest of the
-// block. It is the executor's narrow-range primitive: when a φ-fence says
-// only a slice of a block can match, the chain is walked once from the
-// anchor to the span instead of decoding all u tuples.
-//
-// Costs by codec (u tuples, span s = to-from):
-//
-//	CodecRaw        O(s)          direct offsets
-//	CodecAVQ        O(mid-from)   before the median; O(to-mid) after it
-//	CodecRepOnly    O(from + s)   skip earlier diffs, one apply each
-//	CodecDeltaChain O(to)         chain steps from the first tuple
-//	CodecPacked     O(u)          full decode (no per-diff byte framing)
-func DecodeTupleSpan(s *relation.Schema, buf []byte, from, to int) ([]relation.Tuple, error) {
-	return DecodeTupleSpanArena(s, buf, from, to, nil)
-}
-
-// DecodeTupleSpanArena is DecodeTupleSpan carving every tuple (and all
-// chain scratch) out of the arena. The returned tuples alias the arena's
-// slab and are valid until its next Reset. A nil arena decodes into a
-// fresh one.
-func DecodeTupleSpanArena(s *relation.Schema, buf []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	body, count, c, err := checkHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if from < 0 || to > count || from > to {
-		return nil, fmt.Errorf("core: tuple span [%d,%d) out of range [0,%d)", from, to, count)
-	}
-	if from == to {
-		return nil, nil
-	}
-	if a == nil {
-		a = NewArena()
-	}
-	switch c {
-	case CodecRaw:
-		m := s.RowSize()
-		if len(body) != count*m {
-			return nil, fmt.Errorf("%w: raw payload is %d bytes, want %d", ErrCorrupt, len(body), count*m)
-		}
-		out := a.Tuples(to-from, s.NumAttrs())
-		for i := from; i < to; i++ {
-			if err := s.DecodeTupleInto(out[i-from], body[i*m:]); err != nil {
-				return nil, err
-			}
-			if err := validateDigits(s, out[i-from]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case CodecAVQ:
-		return decodeAVQSpan(s, count, body, from, to, a)
-	case CodecRepOnly:
-		return decodeRepOnlySpan(s, count, body, from, to, a)
-	case CodecDeltaChain:
-		return decodeDeltaChainSpan(s, body, from, to, a)
-	case CodecPacked:
-		tuples, err := decodePacked(s, count, body, a)
-		if err != nil {
-			return nil, err
-		}
-		return tuples[from:to], nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadCodec, uint8(c))
-	}
-}
-
-// decodeAVQSpan reconstructs positions [from, to) by walking the two
-// chain groups outward from the median representative.
-func decodeAVQSpan(s *relation.Schema, count int, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return nil, err
-	}
-	scratch := a.Scratch(s.RowSize())
-
-	if from < mid {
-		// The first group stores d[i] = t[i+1] - t[i] at position i.
-		// Skip the diffs before `from`, buffer d[from..mid-1], then apply
-		// in reverse from the representative: t[i] = t[i+1] - d[i].
-		if pos, err = skipDiffs(s, body, pos, from); err != nil {
-			return nil, err
-		}
-		diffs := a.Tuples(mid-from, n)
-		for i := from; i < mid; i++ {
-			if pos, err = readDiff(s, body, pos, diffs[i-from], scratch); err != nil {
-				return nil, err
-			}
-			if err := validateDigits(s, diffs[i-from]); err != nil {
-				return nil, err
-			}
-		}
-		acc := a.Tuple(n)
-		copy(acc, rep)
-		for i := mid - 1; i >= from; i-- {
-			if _, err := ordinal.Sub(s, acc, acc, diffs[i-from]); err != nil {
-				return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-			}
-			if i < to {
-				copy(out[i-from], acc)
-			}
-		}
-		// pos now sits at the start of the after group.
-	} else if pos, err = skipDiffs(s, body, pos, mid); err != nil {
-		return nil, err
-	}
-
-	if from <= mid && mid < to {
-		copy(out[mid-from], rep)
-	}
-	if to <= mid+1 {
-		return out, nil
-	}
-
-	// After group: t[i] = t[i-1] + d[i]. Each value depends on its
-	// predecessor, so the chain is replayed from the representative even
-	// when from > mid+1; only positions >= from are emitted.
-	acc := a.Tuple(n)
-	copy(acc, rep)
-	d := a.Tuple(n)
-	for i := mid + 1; i < to; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, acc, acc, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-		if i >= from {
-			copy(out[i-from], acc)
-		}
-	}
-	return out, nil
-}
-
-// decodeRepOnlySpan skips to the span's first difference and applies each
-// once against the representative.
-func decodeRepOnlySpan(s *relation.Schema, count int, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	mid, rep, pos, err := readAVQPrefix(s, count, body, a)
-	if err != nil {
-		return nil, err
-	}
-	scratch := a.Scratch(s.RowSize())
-	// Differences are stored in block order with the representative's slot
-	// omitted.
-	skip := from
-	if from > mid {
-		skip = from - 1
-	}
-	if pos, err = skipDiffs(s, body, pos, skip); err != nil {
-		return nil, err
-	}
-	d := a.Tuple(n)
-	for i := from; i < to; i++ {
-		if i == mid {
-			copy(out[i-from], rep)
-			continue
-		}
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if i < mid {
-			_, err = ordinal.Sub(s, out[i-from], rep, d)
-		} else {
-			_, err = ordinal.Add(s, out[i-from], rep, d)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-	}
-	return out, nil
-}
-
-// decodeDeltaChainSpan walks the chain from the first tuple through to-1,
-// emitting positions >= from.
-func decodeDeltaChainSpan(s *relation.Schema, body []byte, from, to int, a *Arena) ([]relation.Tuple, error) {
-	m := s.RowSize()
-	if len(body) < m {
-		return nil, ErrTruncated
-	}
-	n := s.NumAttrs()
-	out := a.Tuples(to-from, n)
-	acc := a.Tuple(n)
-	if err := s.DecodeTupleInto(acc, body); err != nil {
-		return nil, err
-	}
-	if err := validateDigits(s, acc); err != nil {
-		return nil, err
-	}
-	if from == 0 {
-		copy(out[0], acc)
-	}
-	pos := m
-	scratch := a.Scratch(m)
-	d := a.Tuple(n)
-	var err error
-	for i := 1; i < to; i++ {
-		if pos, err = readDiff(s, body, pos, d, scratch); err != nil {
-			return nil, err
-		}
-		if err := validateDigits(s, d); err != nil {
-			return nil, err
-		}
-		if _, err := ordinal.Add(s, acc, acc, d); err != nil {
-			return nil, fmt.Errorf("%w: reconstructing tuple %d: %v", ErrCorrupt, i, err)
-		}
-		if i >= from {
-			copy(out[i-from], acc)
-		}
-	}
-	return out, nil
-}
-
-// SearchBlock binary-searches an encoded block for the first position at
-// which pred becomes true. pred must be monotone over the block's phi
-// order (false...false true...true); the result is count when pred is
-// false everywhere. Probes use DecodeTupleAt, so the search touches
-// O(log u) positions instead of decoding the block.
-func SearchBlock(s *relation.Schema, buf []byte, pred func(relation.Tuple) bool) (int, error) {
-	return SearchBlockArena(s, buf, pred, nil)
-}
-
-// SearchBlockArena is SearchBlock with every probe decoded into the arena.
-// Tuples passed to pred alias the arena's slab and are invalid after the
-// call; pred must not retain them.
-func SearchBlockArena(s *relation.Schema, buf []byte, pred func(relation.Tuple) bool, a *Arena) (int, error) {
-	_, count, _, err := checkHeader(buf)
-	if err != nil {
-		return 0, err
-	}
-	if a == nil {
-		a = NewArena()
-	}
-	lo, hi := 0, count
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		t, err := DecodeTupleAtArena(s, buf, mid, a)
-		if err != nil {
-			return 0, err
-		}
-		if pred(t) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo, nil
 }
 
 // decodeDeltaChainAt walks the chain from the first tuple to idx.

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/relation"
 )
 
 // TestDecodeTupleAtMatchesFullDecode: partial decode must agree with full
@@ -67,108 +65,6 @@ func TestDecodeTupleAtCorruption(t *testing.T) {
 		}
 		if _, err := DecodeTupleAt(s, bad, rng.Intn(40)); err == nil {
 			t.Fatal("corrupted block partially decoded without error")
-		}
-	}
-}
-
-// TestDecodeTupleSpanMatchesFullDecode: span decode must agree with full
-// decode on every sub-range, codec, and schema, including spans that
-// straddle the representative and empty spans.
-func TestDecodeTupleSpanMatchesFullDecode(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	for iter := 0; iter < 40; iter++ {
-		s := randomSchema(rng)
-		block := randomSortedBlock(s, rng, 1+rng.Intn(80))
-		for _, c := range allCodecs() {
-			enc, err := EncodeBlock(c, s, block, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := len(full)
-			spans := [][2]int{{0, u}, {0, 0}, {u, u}, {0, u / 2}, {u / 2, u}}
-			for trial := 0; trial < 6; trial++ {
-				from := rng.Intn(u + 1)
-				to := from + rng.Intn(u+1-from)
-				spans = append(spans, [2]int{from, to})
-			}
-			for _, sp := range spans {
-				from, to := sp[0], sp[1]
-				got, err := DecodeTupleSpan(s, enc, from, to)
-				if err != nil {
-					t.Fatalf("iter %d %v span [%d,%d): %v", iter, c, from, to, err)
-				}
-				if len(got) != to-from {
-					t.Fatalf("iter %d %v span [%d,%d): %d tuples", iter, c, from, to, len(got))
-				}
-				for i, tu := range got {
-					if s.Compare(tu, full[from+i]) != 0 {
-						t.Fatalf("iter %d %v span [%d,%d) pos %d: got %v want %v",
-							iter, c, from, to, from+i, tu, full[from+i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestDecodeTupleSpanBounds(t *testing.T) {
-	s := employeeSchema(t)
-	enc, err := EncodeBlock(CodecAVQ, s, fig33Block(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range [][2]int{{-1, 2}, {0, 6}, {3, 2}} {
-		if _, err := DecodeTupleSpan(s, enc, sp[0], sp[1]); err == nil {
-			t.Fatalf("span [%d,%d) accepted", sp[0], sp[1])
-		}
-	}
-}
-
-// TestSearchBlockFindsBoundaries: binary search over encoded blocks must
-// agree with a linear scan of the full decode for every codec.
-func TestSearchBlockFindsBoundaries(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	for iter := 0; iter < 30; iter++ {
-		s := randomSchema(rng)
-		block := randomSortedBlock(s, rng, 1+rng.Intn(60))
-		for _, c := range allCodecs() {
-			enc, err := EncodeBlock(c, s, block, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := DecodeBlock(s, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Search for the first tuple with leading attribute >= v, for a
-			// few pivot values including ones outside the block's range.
-			for trial := 0; trial < 5; trial++ {
-				v := full[rng.Intn(len(full))][0]
-				if trial == 3 {
-					v = 0
-				}
-				if trial == 4 {
-					v = s.Domain(0).Size - 1
-				}
-				got, err := SearchBlock(s, enc, func(tu relation.Tuple) bool { return tu[0] >= v })
-				if err != nil {
-					t.Fatalf("iter %d %v: %v", iter, c, err)
-				}
-				want := len(full)
-				for i, tu := range full {
-					if tu[0] >= v {
-						want = i
-						break
-					}
-				}
-				if got != want {
-					t.Fatalf("iter %d %v v=%d: got %d want %d", iter, c, v, got, want)
-				}
-			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -43,6 +44,25 @@ func decodeRaw(s *relation.Schema, count int, body []byte, a *Arena) ([]relation
 		}
 		if err := validateDigits(s, out[i]); err != nil {
 			return nil, err
+		}
+		// Byte order on fixed-width rows is φ order: one memcmp per row
+		// rejects a decreasing block (see sortedTuples).
+		if i > 0 && bytes.Compare(body[(i-1)*m:i*m], body[i*m:(i+1)*m]) > 0 {
+			return nil, fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
+		}
+	}
+	return out, nil
+}
+
+// sortedTuples rejects a decoded block whose tuples decrease in φ order.
+// Only the raw and rep-only codecs can express such a block (the chained
+// codecs add non-negative differences); blocks are φ-clustered by
+// construction, so an unsorted one is corrupt. Raw blocks check their
+// row bytes instead.
+func sortedTuples(s *relation.Schema, out []relation.Tuple) ([]relation.Tuple, error) {
+	for i := 1; i < len(out); i++ {
+		if s.Compare(out[i], out[i-1]) < 0 {
+			return nil, fmt.Errorf("%w: φ sequence decreases at position %d", ErrCorrupt, i)
 		}
 	}
 	return out, nil
@@ -134,7 +154,7 @@ func decodeRepOnly(s *relation.Schema, count int, body []byte, a *Arena) ([]rela
 	if pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after block payload", ErrCorrupt, len(body)-pos)
 	}
-	return out, nil
+	return sortedTuples(s, out)
 }
 
 // encodeDeltaChain anchors the chain at the first tuple of the block rather

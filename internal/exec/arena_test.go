@@ -8,9 +8,22 @@ import (
 	"repro/internal/relation"
 )
 
-// TestTransientMatchesNonTransient is the arena-policy differential: a
-// Transient pass (pooled arena, Reset per block) must stream exactly the
-// same tuple values as the default pass, for every codec and plan shape.
+// rowHash folds a row's attribute values; both sides of an arena-policy
+// comparison hash the same way.
+func rowHash(vals func(i int) uint64, n int) uint64 {
+	var sum uint64
+	for i := 0; i < n; i++ {
+		sum = sum*31 + vals(i)
+	}
+	return sum
+}
+
+// TestTransientMatchesNonTransient is the arena-policy differential: the
+// executor decodes every block into one pooled arena that is Reset
+// between blocks, so a kernel reading slabs transiently (folding values
+// during the call) and a consumer retaining the tuples RunContext emits
+// (reading them after the pass, once the arena has been recycled) must
+// see exactly the same rows, for every codec, plan shape, and limb count.
 func TestTransientMatchesNonTransient(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 1200, 33)
@@ -20,122 +33,107 @@ func TestTransientMatchesNonTransient(t *testing.T) {
 		{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}},
 		{Preds: []Pred{{Attr: 2, Lo: 10, Hi: 40}}},
 		{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}, {Attr: 3, Lo: 100, Hi: 3000}}},
-		{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}, NoPartial: true},
 	}
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
-				t.Fatal(err)
-			}
-			sn := store.Snapshot()
-			defer sn.Release()
-			for pi, plan := range plans {
-				want, wantStats := collect(t, sn, plan)
-				tp := plan
-				tp.Transient = true
-				// Fold values instead of retaining tuples: the transient
-				// contract.
-				var gotSums []uint64
-				st, err := RunContext(ctx, sn, tp, func(tu relation.Tuple) bool {
-					var sum uint64
-					for _, v := range tu {
-						sum = sum*31 + v
-					}
-					gotSums = append(gotSums, sum)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("plan %d: transient run: %v", pi, err)
+			for _, s := range schemas(t) {
+				store := newStoreFor(t, s, codec, 512)
+				if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
+					t.Fatal(err)
 				}
-				if len(gotSums) != len(want) {
-					t.Fatalf("plan %d: transient emitted %d tuples, want %d", pi, len(gotSums), len(want))
+				sn := store.Snapshot()
+				n, k := s.NumAttrs(), s.Limbs().K
+				digs := make([]core.DigitExtractor, n)
+				for i := range digs {
+					digs[i] = core.NewDigitExtractor(s, i)
 				}
-				for i, tu := range want {
-					var sum uint64
-					for _, v := range tu {
-						sum = sum*31 + v
+				for pi, plan := range plans {
+					retained, _ := collect(t, sn, plan)
+					var folded []uint64
+					st, err := RunBatch(ctx, sn, plan, func(phis []uint64) bool {
+						for r := 0; r < len(phis); r += k {
+							folded = append(folded, rowHash(func(i int) uint64 {
+								return digs[i].Digit(phis[r+digs[i].Limb])
+							}, n))
+						}
+						return true
+					})
+					if err != nil {
+						t.Fatalf("%v plan %d: %v", s, pi, err)
 					}
-					if gotSums[i] != sum {
-						t.Fatalf("plan %d: tuple %d differs under transient pass", pi, i)
+					if len(folded) != len(retained) || st.Matches != len(retained) {
+						t.Fatalf("%v plan %d: slab pass saw %d rows (Matches %d), retained %d", s, pi, len(folded), st.Matches, len(retained))
+					}
+					for i, tu := range retained {
+						if folded[i] != rowHash(func(j int) uint64 { return tu[j] }, n) {
+							t.Fatalf("%v plan %d: row %d differs between slab and retained tuple", s, pi, i)
+						}
 					}
 				}
-				if st.Matches != wantStats.Matches {
-					t.Fatalf("plan %d: transient Matches = %d, want %d", pi, st.Matches, wantStats.Matches)
-				}
+				sn.Release()
 			}
 		})
 	}
 }
 
-// TestTransientStats checks the new accounting: a multi-block transient
-// pass reuses its pooled arena, and a straddling clustered bound on a
-// flat schema takes the flat-ordinal span path.
+// TestTransientStats checks the pooled-arena accounting of a multi-block
+// pass: every block after the first reuses the arena's slab, and the
+// pass reports the arena's footprint.
 func TestTransientStats(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 1500, 34)
-	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
-		t.Fatal(err)
-	}
-	sn := store.Snapshot()
-	defer sn.Release()
-
-	st, err := RunContext(ctx, sn, Plan{Transient: true}, func(relation.Tuple) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.FullDecodes < 2 {
-		t.Skipf("need >= 2 blocks for reuse accounting, got %d", st.FullDecodes)
-	}
-	if st.ArenaReuses < st.FullDecodes-1 {
-		t.Errorf("ArenaReuses = %d over %d blocks; pooled arena not reused", st.ArenaReuses, st.FullDecodes)
-	}
-	if st.SlabBytes == 0 {
-		t.Error("SlabBytes = 0 after a decoding pass")
-	}
-
-	// A clustered bound that straddles block boundaries must use the flat
-	// path (the test schema's space fits a uint64).
-	if _, ok := sn.Schema().FlatWeights(); !ok {
-		t.Fatal("test schema unexpectedly non-flat")
-	}
-	st, err = RunContext(ctx, sn, Plan{Preds: []Pred{{Attr: 0, Lo: 2, Hi: 5}}}, func(relation.Tuple) bool { return true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PartialDecodes > 0 && st.FlatPathHits != st.PartialDecodes {
-		t.Errorf("FlatPathHits = %d, PartialDecodes = %d; flat schema should route every partial through PhiSpan",
-			st.FlatPathHits, st.PartialDecodes)
-	}
-	if st.PartialDecodes == 0 {
-		t.Log("no straddling blocks in this layout; flat path not exercised")
+	for _, s := range schemas(t) {
+		store := newStoreFor(t, s, core.CodecAVQ, 512)
+		if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
+			t.Fatal(err)
+		}
+		sn := store.Snapshot()
+		st, err := RunContext(ctx, sn, Plan{}, func(relation.Tuple) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.BatchBlocks < 2 {
+			t.Fatalf("%v: need >= 2 blocks for reuse accounting, got %d", s, st.BatchBlocks)
+		}
+		if st.ArenaReuses < st.BatchBlocks-1 {
+			t.Errorf("%v: ArenaReuses = %d over %d blocks; pooled arena not reused", s, st.ArenaReuses, st.BatchBlocks)
+		}
+		if st.SlabBytes == 0 {
+			t.Errorf("%v: SlabBytes = 0 after a decoding pass", s)
+		}
+		if st.SlabRows != len(tuples) {
+			t.Errorf("%v: SlabRows %d over %d rows", s, st.SlabRows, len(tuples))
+		}
+		sn.Release()
 	}
 }
 
-// TestTransientPassAllocs bounds the per-pass allocation count of a
-// transient pass: independent of block count, since every block reuses
-// the pooled arena and the stream buffer.
+// TestTransientPassAllocs bounds what a tuple-result pass allocates: the
+// slab decode reuses the pooled arena, and the qualifying rows of each
+// block are inverted into one fresh allocation — nothing per row.
 func TestTransientPassAllocs(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 3000, 35)
-	store := newStore(t, core.CodecAVQ, 512)
-	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
-		t.Fatal(err)
-	}
-	sn := store.Snapshot()
-	defer sn.Release()
-	plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}, Transient: true}
-	run := func() {
-		if _, err := RunContext(ctx, sn, plan, func(relation.Tuple) bool { return true }); err != nil {
+	for _, s := range schemas(t) {
+		store := newStoreFor(t, s, core.CodecAVQ, 512)
+		if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 			t.Fatal(err)
 		}
-	}
-	run() // warm the arena pool and size its slabs
-	allocs := testing.AllocsPerRun(50, run)
-	// The pass allocates O(1) bookkeeping (pass struct, bound split,
-	// stream buffer on first use) but nothing per block or per tuple.
-	if allocs > 16 {
-		t.Errorf("transient pass allocates %.1f objects/op over %d blocks; want O(1)", allocs, sn.NumBlocks())
+		sn := store.Snapshot()
+		plan := Plan{Preds: []Pred{{Attr: 0, Lo: 1, Hi: 6}}}
+		var st Stats
+		run := func() {
+			var err error
+			if st, err = RunContext(ctx, sn, plan, func(relation.Tuple) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the arena pool and size its slabs
+		allocs := testing.AllocsPerRun(50, run)
+		if limit := float64(st.BatchBlocks + 16); allocs > limit {
+			t.Errorf("%v: tuple pass allocates %.1f objects/op for %d rows over %d blocks; want <= %.0f",
+				s, allocs, st.Matches, st.BatchBlocks, limit)
+		}
+		sn.Release()
 	}
 }

@@ -1,13 +1,3 @@
-// Columnar batch mode. Where the tuple path hands emit one
-// relation.Tuple at a time, the batch path decodes each block into a flat
-// φ-ordinal slab (one uint64 per row, clustered order) and hands kernels
-// the whole slab at once: predicate evaluation is digit arithmetic on raw
-// ordinals (core.PhiDigit over the FlatWeights divisor chain), qualifying
-// rows are compacted in place, and no relation.Tuple is ever built for a
-// row that does not reach the result. It exists for the operators whose
-// output is not tuples — counts, aggregates, group-by, and merge joins —
-// and requires a flat schema (||R|| within 64 bits); non-flat tables stay
-// on the tuple path.
 package exec
 
 import (
@@ -20,188 +10,56 @@ import (
 	"repro/internal/relation"
 )
 
-// ErrNotFlat reports a batch pass requested over a schema whose ordinal
-// space exceeds 64 bits; callers fall back to the tuple path.
-var ErrNotFlat = fmt.Errorf("exec: batch mode needs a schema space within 64 bits")
-
-// RunBatch streams the snapshot's qualifying rows to kernel as per-block
-// φ-ordinal slabs, in φ order. Each slab holds exactly the rows matching
-// plan.Preds (the clustering bound clips by binary search, residual
-// conjuncts compact the slab in place) and is valid only until kernel
-// returns — the backing arena is reset for the next block. kernel
-// returning false stops the pass early. Plans are implicitly Transient:
-// a kernel must copy anything it keeps. Like RunContext, the pass's Stats
-// fold into the snapshot's ExecMetrics on return.
-func RunBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (Stats, error) {
-	st, err := runBatch(ctx, sn, plan, kernel)
-	foldStats(sn, st)
-	return st, err
-}
-
-// batchPred is one residual conjunct compiled to digit arithmetic, with
-// the extraction strength-reduced at compile (plan) time.
-type batchPred struct {
-	dig    core.DigitExtractor
-	lo, hi uint64
-}
-
-func (p batchPred) matches(phi uint64) bool {
-	d := p.dig.Digit(phi)
-	return d >= p.lo && d <= p.hi
-}
-
-func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (Stats, error) {
-	st := Stats{BlocksTotal: sn.NumBlocks()}
-	s := sn.Schema()
-	w, ok := s.FlatWeights()
-	if !ok {
-		return st, ErrNotFlat
-	}
-	bound, rest := boundOf(plan.Preds)
-	var loPhi, hiPhi uint64
-	if bound != nil {
-		// The clustering bound [lo, hi] on attribute 0 is the φ interval
-		// [lo*w0, hi*w0 + (w0-1)] — same clamp discipline as runPartial.
-		hi := bound.Hi
-		if limit := s.Domain(0).Size - 1; hi > limit {
-			hi = limit
-		}
-		loPhi, hiPhi = bound.Lo*w[0], hi*w[0]+(w[0]-1)
-	}
-	residual := make([]batchPred, len(rest))
-	for i, p := range rest {
-		residual[i] = batchPred{dig: core.NewDigitExtractor(w[p.Attr], s.Domain(p.Attr).Size), lo: p.Lo, hi: p.Hi}
-	}
-
-	a := core.GetArena()
-	defer core.PutArena(a)
-	var streamBuf []byte
-	n := sn.NumBlocks()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		if plan.Candidates != nil {
-			if _, ok := plan.Candidates[sn.Block(i)]; !ok {
-				continue
-			}
-		}
-		f := sn.Fence(i)
-		known := f.Known()
-		if bound != nil && known {
-			if f.First[0] > bound.Hi {
-				st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
-				return st, nil
-			}
-			if f.Last[0] < bound.Lo {
-				st.BlocksPruned++
-				continue
-			}
-		}
-		if a.SlabBytes() > 0 {
-			st.ArenaReuses++
-		}
-		a.Reset()
-		phis, buf, hit, err := sn.ReadPhis(i, a, streamBuf)
-		if err != nil {
-			return st, err
-		}
-		streamBuf = buf
-		if hit {
-			st.CacheHits++
-		} else {
-			st.BlocksRead++
-		}
-		st.FullDecodes++
-		st.BatchBlocks++
-		st.SlabRows += len(phis)
-		if bound != nil {
-			if len(phis) > 0 && phis[0] > hiPhi {
-				// Only reachable with an unknown fence; nothing here or later
-				// qualifies (blocks are clustered).
-				return st, nil
-			}
-			from, to := core.PhiSpanSorted(phis, loPhi, hiPhi)
-			phis = phis[from:to]
-		}
-		if len(residual) > 0 {
-			keep := 0
-			for _, phi := range phis {
-				ok := true
-				for _, p := range residual {
-					if !p.matches(phi) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					phis[keep] = phi
-					keep++
-				}
-			}
-			phis = phis[:keep]
-		}
-		st.Matches += len(phis)
-		if len(phis) > 0 && !kernel(phis) {
-			return st, nil
-		}
-		if bound != nil && known && f.Last[0] > bound.Hi {
-			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
-			return st, nil
-		}
-	}
-	st.SlabBytes += a.SlabBytes()
-	return st, nil
-}
-
-// BatchIterator is the pull form of the batch pass: a φ-ordered stream of
-// per-block ordinal slabs over a pinned snapshot, with fence-level seeks.
-// Merge joins are built on it (each side pulls independently). One
-// pooled arena backs the iterator, reset at every NextPhis — a returned
-// slab is valid only until the next call.
+// BatchIterator is the pull form of a pass: a φ-ordered stream of
+// per-block φ slabs (stride Limbs().K) over a pinned snapshot, with
+// fence-level seeks. Cursors and merge joins are built on it (each join
+// side pulls independently). One pooled arena backs the iterator, reset
+// at every NextPhis — a returned slab is valid only until the next call.
 type BatchIterator struct {
-	sn        *blockstore.Snapshot
-	ctx       context.Context
-	s         *relation.Schema
-	next      int // next block position to read
-	done      bool
-	released  bool
-	a         *core.Arena
-	streamBuf []byte
+	sn       *blockstore.Snapshot
+	ctx      context.Context
+	s        *relation.Schema
+	next     int // next block position to read
+	done     bool
+	released bool
+	a        *core.Arena
 	// Stats accumulates block accounting across NextPhis and SeekPhi.
 	Stats Stats
 }
 
 // NewBatchIterator returns a batch iterator positioned before the first
-// block. It fails with ErrNotFlat on a non-flat schema, releasing the
-// snapshot (the iterator owns it either way). On success the caller must
-// Release the iterator, which releases the snapshot.
-func NewBatchIterator(ctx context.Context, sn *blockstore.Snapshot) (*BatchIterator, error) {
-	s := sn.Schema()
-	if _, ok := s.FlatSpace(); !ok {
-		sn.Release()
-		return nil, ErrNotFlat
-	}
+// block; it owns the snapshot. The caller must Release the iterator,
+// which releases the snapshot.
+func NewBatchIterator(ctx context.Context, sn *blockstore.Snapshot) *BatchIterator {
 	return &BatchIterator{
 		sn:    sn,
 		ctx:   ctx,
-		s:     s,
+		s:     sn.Schema(),
 		a:     core.GetArena(),
 		Stats: Stats{BlocksTotal: sn.NumBlocks()},
-	}, nil
+	}
 }
 
 // Release folds the iterator's Stats into the store's exec instruments,
-// returns its arena to the pool, and releases the snapshot. Idempotent;
-// the iterator (and any slab it returned) must not be used afterwards.
+// returns its arena to the pool, and releases the snapshot. Idempotent.
+// Slabs it returned die with it; a later NextPhis or SeekPhi fails with
+// blockstore.ErrSnapshotStale (NextPhis at the end of the stream still
+// reports the end), and Rewind is a no-op.
 func (it *BatchIterator) Release() {
 	if !it.released {
 		it.released = true
 		it.Stats.SlabBytes += it.a.SlabBytes()
 		foldStats(it.sn, it.Stats)
 		core.PutArena(it.a)
+		it.a = nil
 	}
 	it.sn.Release()
+}
+
+// stale is the error for a read through a released iterator: its arena
+// is back in the pool and may already belong to another pass.
+func (it *BatchIterator) stale(op string) error {
+	return fmt.Errorf("%w: BatchIterator.%s after Release", blockstore.ErrSnapshotStale, op)
 }
 
 // NextPhis returns the next block's φ slab in clustered order, or nil at
@@ -213,6 +71,9 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 			it.done = true
 			break
 		}
+		if it.released {
+			return nil, it.stale("NextPhis")
+		}
 		if it.ctx != nil {
 			if err := it.ctx.Err(); err != nil {
 				return nil, err
@@ -222,20 +83,18 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 			it.Stats.ArenaReuses++
 		}
 		it.a.Reset()
-		phis, buf, hit, err := it.sn.ReadPhis(it.next, it.a, it.streamBuf)
+		phis, hit, err := it.sn.ReadPhis(it.next, it.a)
 		if err != nil {
 			return nil, err
 		}
-		it.streamBuf = buf
 		it.next++
 		if hit {
 			it.Stats.CacheHits++
 		} else {
 			it.Stats.BlocksRead++
 		}
-		it.Stats.FullDecodes++
 		it.Stats.BatchBlocks++
-		it.Stats.SlabRows += len(phis)
+		it.Stats.SlabRows += len(phis) / it.s.Limbs().K
 		if len(phis) > 0 {
 			return phis, nil
 		}
@@ -243,14 +102,27 @@ func (it *BatchIterator) NextPhis() ([]uint64, error) {
 	return nil, nil
 }
 
+// Rewind repositions the iterator before the first block, so a cursor
+// can seek backwards. Slabs already returned are invalid afterwards. A
+// released iterator stays where it is.
+func (it *BatchIterator) Rewind() {
+	if !it.released {
+		it.next, it.done = 0, false
+	}
+}
+
 // SeekPhi advances the iterator (forward only) so the next NextPhis
-// returns the first remaining block that can contain a φ >= target: the
-// first block whose fence Last has φ >= target. Blocks skipped on their
-// fence alone count as pruned. With any fence unknown from the current
-// position on, SeekPhi is a no-op and the stream simply delivers every
-// remaining block; a target already behind the iterator is likewise a
-// no-op (slabs already returned are never revisited).
+// returns the first remaining block that can hold a row whose limb 0 is
+// >= target: the first block whose fence Last has limb 0 >= target.
+// Blocks skipped on their fence alone count as pruned. With any fence
+// unknown from the current position on, SeekPhi is a no-op and the
+// stream simply delivers every remaining block; a target already behind
+// the iterator is likewise a no-op (slabs already returned are never
+// revisited).
 func (it *BatchIterator) SeekPhi(target uint64) error {
+	if it.released {
+		return it.stale("SeekPhi")
+	}
 	n := it.sn.NumBlocks()
 	if it.done || it.next >= n {
 		return nil
@@ -263,7 +135,7 @@ func (it *BatchIterator) SeekPhi(target uint64) error {
 	lo, hi := it.next, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if ordinal.PhiU64(it.s, it.sn.Fence(mid).Last) < target {
+		if ordinal.PhiLimb0(it.s, it.sn.Fence(mid).Last) < target {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -2,9 +2,12 @@
 // every table-level query (scans, range and point selections, aggregates,
 // group-by, cursors, and joins). It walks a blockstore snapshot in
 // clustered order, prunes blocks whose φ-fence cannot intersect the
-// predicate, and partially decodes blocks that only straddle the range
-// boundary — the paper's localized-access claim (Sections 3.4 and 5)
-// realized as an engine instead of per-query block loops.
+// predicate — the paper's localized-access claim (Sections 3.4 and 5)
+// realized as an engine instead of per-query block loops — and decodes
+// each surviving block into a φ slab: one row of the schema's limbs
+// (relation.Limbs) per tuple. Predicates are digit arithmetic on those
+// limbs, qualifying rows are compacted in place, and a row becomes a
+// relation.Tuple (φ⁻¹ per limb) only when it reaches a tuple result.
 //
 // The executor never touches the live store: it operates on a pinned
 // blockstore.Snapshot, so a pass keeps streaming its pre-mutation view
@@ -16,6 +19,7 @@ import (
 
 	"repro/internal/blockstore"
 	"repro/internal/core"
+	"repro/internal/ordinal"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -28,36 +32,21 @@ type Pred struct {
 	Lo, Hi uint64
 }
 
-// matches reports whether tu satisfies the predicate.
-func (p Pred) matches(tu relation.Tuple) bool {
-	return tu[p.Attr] >= p.Lo && tu[p.Attr] <= p.Hi
-}
-
 // Plan describes one streaming pass over a snapshot.
 type Plan struct {
-	// Preds is the conjunction every emitted tuple must satisfy. A
+	// Preds is the conjunction every emitted row must satisfy. A
 	// predicate on attribute 0 (the clustering prefix) additionally bounds
-	// the pass: φ-fences prune non-intersecting blocks, and blocks that
-	// straddle the range boundary are decoded partially.
+	// the pass: φ-fences prune non-intersecting blocks, and each slab is
+	// clipped to the bound by binary search on limb 0.
 	Preds []Pred
 	// Candidates, when non-nil, restricts the pass to the listed blocks —
 	// the secondary-index prefilter. Nil means every block is a candidate.
 	Candidates map[storage.PageID]struct{}
-	// NoPartial forces full block decodes even on straddling blocks; the
-	// differential tests use it to pit the two decode paths against each
-	// other.
-	NoPartial bool
-	// Transient declares that emit never retains a tuple (or sub-slice of
-	// one) past the call: the executor then decodes every block into one
-	// pooled arena that is Reset between blocks, making the steady-state
-	// pass allocation-free. Aggregation-style passes (count, sum, group
-	// keys copied out) set it; materializing selections must not.
-	Transient bool
 }
 
 // Stats reports what a pass cost. BlocksRead counts pages actually
-// fetched (full or partial decode); cache hits are reported separately so
-// the paper's N (Section 5.3.3) stays an I/O count.
+// fetched and decoded; cache hits are reported separately so the paper's
+// N (Section 5.3.3) stays an I/O count.
 type Stats struct {
 	// BlocksTotal is the number of blocks in the snapshot.
 	BlocksTotal int
@@ -69,25 +58,17 @@ type Stats struct {
 	// CacheHits counts blocks served by the decoded-block cache instead
 	// of a page read.
 	CacheHits int
-	// PartialDecodes counts blocks where only the qualifying span was
-	// decoded; FullDecodes counts whole-block decodes.
-	PartialDecodes int
-	FullDecodes    int
-	// Matches counts tuples passed to emit.
+	// Matches counts rows that satisfied the plan.
 	Matches int
 	// ArenaReuses counts blocks decoded into an arena whose slab capacity
-	// was carried over from an earlier block (Transient passes only).
+	// was carried over from an earlier block.
 	ArenaReuses int
-	// SlabBytes is the arena slab capacity backing the pass: the pooled
-	// arena's final footprint for Transient passes, the sum of per-block
-	// arena footprints otherwise.
+	// SlabBytes is the final footprint of the pooled arena backing the
+	// pass.
 	SlabBytes int
-	// FlatPathHits counts straddling blocks whose span was located by the
-	// flat-ordinal (single-uint64 φ) walk instead of chain-probe search.
-	FlatPathHits int
-	// BatchBlocks counts blocks the columnar batch path decoded as whole
-	// φ-ordinal slabs; SlabRows is the total rows those slabs carried
-	// before predicate compaction.
+	// BatchBlocks counts blocks decoded (from a page or the cache) into φ
+	// slabs; SlabRows is the total rows those slabs carried before
+	// predicate compaction.
 	BatchBlocks int
 	SlabRows    int
 }
@@ -106,135 +87,6 @@ func boundOf(preds []Pred) (bound *Pred, rest []Pred) {
 	return bound, rest
 }
 
-// RunContext streams the snapshot's tuples matching the plan to emit, in
-// φ order. emit returning false stops the pass early. The returned Stats
-// are valid on error too, reflecting the work done up to it.
-// Cancellation is checked at every block boundary — before the next
-// decode — so an aborted pass returns promptly with no frames pinned; the
-// partial Stats describe the work done up to the abort. On return (any path) the pass's Stats are folded
-// into the snapshot's ExecMetrics when the store carries a registry.
-func RunContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
-	st, err := runContext(ctx, sn, plan, emit)
-	foldStats(sn, st)
-	return st, err
-}
-
-// foldStats adds a pass's counters into the store's pre-resolved exec
-// instruments: one atomic add per counter, no locks, nothing when the
-// store has no registry.
-func foldStats(sn *blockstore.Snapshot, st Stats) {
-	m := sn.Metrics()
-	if m == nil {
-		return
-	}
-	m.BlocksRead.Add(int64(st.BlocksRead))
-	m.BlocksPruned.Add(int64(st.BlocksPruned))
-	m.CacheHits.Add(int64(st.CacheHits))
-	m.PartialDecodes.Add(int64(st.PartialDecodes))
-	m.FullDecodes.Add(int64(st.FullDecodes))
-	m.Rows.Add(int64(st.Matches))
-	if m.ArenaReuses != nil {
-		m.ArenaReuses.Add(int64(st.ArenaReuses))
-		m.SlabBytes.Add(int64(st.SlabBytes))
-		m.FlatHits.Add(int64(st.FlatPathHits))
-	}
-	if m.BatchBlocks != nil {
-		m.BatchBlocks.Add(int64(st.BatchBlocks))
-		m.SlabRows.Add(int64(st.SlabRows))
-	}
-}
-
-// pass carries one streaming pass's per-block scratch: the stats being
-// accumulated, the pooled arena for Transient plans, and the reusable
-// stream buffer the partial path reads coded blocks into.
-type pass struct {
-	sn        *blockstore.Snapshot
-	st        Stats
-	pooled    *core.Arena // non-nil iff the plan is Transient
-	streamBuf []byte      // partial path: coded-stream copy, reused per block
-}
-
-// arena returns the arena the next block decodes into: the pooled one,
-// Reset (its slab capacity surviving), for Transient plans; a fresh arena
-// otherwise, since the caller may retain the emitted tuples indefinitely.
-func (p *pass) arena() *core.Arena {
-	if p.pooled != nil {
-		if p.pooled.SlabBytes() > 0 {
-			p.st.ArenaReuses++
-		}
-		p.pooled.Reset()
-		return p.pooled
-	}
-	return core.NewArena()
-}
-
-func runContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
-	p := &pass{sn: sn, st: Stats{BlocksTotal: sn.NumBlocks()}}
-	if plan.Transient {
-		p.pooled = core.GetArena()
-		defer core.PutArena(p.pooled)
-	}
-	err := p.run(ctx, plan, emit)
-	if p.pooled != nil {
-		p.st.SlabBytes += p.pooled.SlabBytes()
-	}
-	return p.st, err
-}
-
-func (p *pass) run(ctx context.Context, plan Plan, emit func(relation.Tuple) bool) error {
-	sn, st := p.sn, &p.st
-	bound, rest := boundOf(plan.Preds)
-	// Packed blocks have no per-tuple chain entry points worth walking; a
-	// span decode degenerates to a full decode, so skip the partial path.
-	partialOK := !plan.NoPartial && sn.Codec() != core.CodecPacked
-	n := sn.NumBlocks()
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if plan.Candidates != nil {
-			if _, ok := plan.Candidates[sn.Block(i)]; !ok {
-				continue
-			}
-		}
-		f := sn.Fence(i)
-		known := f.Known()
-		if bound != nil && known {
-			// Blocks are clustered and non-overlapping: once a block starts
-			// beyond the range, every later block does too.
-			if f.First[0] > bound.Hi {
-				st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
-				return nil
-			}
-			if f.Last[0] < bound.Lo {
-				st.BlocksPruned++
-				continue
-			}
-		}
-		straddle := bound != nil && known &&
-			(f.First[0] < bound.Lo || f.Last[0] > bound.Hi)
-		var stop bool
-		var err error
-		if straddle && partialOK {
-			stop, err = p.runPartial(i, *bound, rest, emit)
-		} else {
-			stop, err = p.runFull(i, plan.Preds, bound, emit)
-		}
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-		if bound != nil && known && f.Last[0] > bound.Hi {
-			// The range ends inside this block; the remainder is prunable.
-			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
-			return nil
-		}
-	}
-	return nil
-}
-
 // countCandidates counts candidate blocks in positions [from, n): the
 // blocks a fence break skips without visiting.
 func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, from, n int) int {
@@ -250,114 +102,182 @@ func countCandidates(sn *blockstore.Snapshot, cand map[storage.PageID]struct{}, 
 	return c
 }
 
-// runPartial decodes only the qualifying span of a straddling block. On a
-// flat schema the span boundaries come from one ordinal-space walk
-// (core.PhiSpan): the block's φ sequence is scanned as plain uint64s, so
-// the bound is evaluated before any tuple is materialized. Otherwise
-// binary search on the clustering attribute finds the boundaries with
-// O(log u) partial-decode probes. Either way one span decode then
-// materializes exactly the qualifying run; tuples in the span satisfy the
-// bound by construction and only the residual conjuncts filter.
-func (p *pass) runPartial(i int, bound Pred, rest []Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	sn, st := p.sn, &p.st
-	stream, err := sn.ReadStreamInto(i, p.streamBuf[:0])
-	if err != nil {
-		return false, err
+// foldStats adds a pass's counters into the store's pre-resolved exec
+// instruments: one atomic add per counter, no locks, nothing when the
+// store has no registry.
+func foldStats(sn *blockstore.Snapshot, st Stats) {
+	m := sn.Metrics()
+	if m == nil {
+		return
 	}
-	p.streamBuf = stream
-	st.BlocksRead++
-	st.PartialDecodes++
+	m.BlocksRead.Add(int64(st.BlocksRead))
+	m.BlocksPruned.Add(int64(st.BlocksPruned))
+	m.CacheHits.Add(int64(st.CacheHits))
+	m.Rows.Add(int64(st.Matches))
+	m.ArenaReuses.Add(int64(st.ArenaReuses))
+	m.SlabBytes.Add(int64(st.SlabBytes))
+	m.BatchBlocks.Add(int64(st.BatchBlocks))
+	m.SlabRows.Add(int64(st.SlabRows))
+}
+
+// RunBatch streams the snapshot's qualifying rows to kernel as per-block
+// φ slabs (stride Limbs().K), in φ order. Each slab holds exactly the
+// rows matching plan.Preds — the clustering bound clips by binary search
+// on limb 0, residual conjuncts compact the slab in place — and is valid
+// only until kernel returns: the backing arena is reset for the next
+// block, so a kernel must copy anything it keeps. kernel returning false
+// stops the pass early. Cancellation is checked at every block boundary,
+// before the next decode. On return (any path) the pass's Stats fold into
+// the snapshot's ExecMetrics; they are valid on error too.
+func RunBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (Stats, error) {
+	st, err := runBatch(ctx, sn, plan, kernel)
+	foldStats(sn, st)
+	return st, err
+}
+
+// batchPred is one residual conjunct compiled to digit arithmetic, with
+// the extraction strength-reduced at plan time.
+type batchPred struct {
+	dig    core.DigitExtractor
+	lo, hi uint64
+}
+
+func runBatch(ctx context.Context, sn *blockstore.Snapshot, plan Plan, kernel func(phis []uint64) bool) (st Stats, err error) {
+	st.BlocksTotal = sn.NumBlocks()
 	s := sn.Schema()
-	a := p.arena()
-	var start, end int
-	if w, ok := s.FlatWeights(); ok {
-		// The clustering bound [lo, hi] on attribute 0 is exactly the φ
-		// interval [lo*w0, hi*w0 + (w0-1)]: every tuple with A_0 in range
-		// lands there regardless of its remaining digits. Clamp hi to the
-		// domain first so the products stay inside the (64-bit) space.
+	l := s.Limbs()
+	k := l.K
+	bound, rest := boundOf(plan.Preds)
+	var loPhi, hiPhi uint64
+	if bound != nil {
+		// The clustering bound [lo, hi] on attribute 0 is the limb-0
+		// interval [lo*w0, hi*w0 + (w0-1)] whatever the other digits are.
+		// Clamp hi to the domain first so the products stay below the
+		// limb's radix; a range starting past the domain matches nothing.
+		w0 := l.Weight[0]
 		hi := bound.Hi
-		if limit := s.Domain(0).Size - 1; hi > limit {
+		if limit := l.Size[0] - 1; hi > limit {
 			hi = limit
 		}
-		start, end, err = core.PhiSpan(s, stream, bound.Lo*w[0], hi*w[0]+(w[0]-1), a)
+		if bound.Lo > hi {
+			st.BlocksPruned = countCandidates(sn, plan.Candidates, 0, sn.NumBlocks())
+			return st, nil
+		}
+		loPhi, hiPhi = bound.Lo*w0, hi*w0+(w0-1)
+	}
+	residual := make([]batchPred, len(rest))
+	for i, p := range rest {
+		residual[i] = batchPred{dig: core.NewDigitExtractor(s, p.Attr), lo: p.Lo, hi: p.Hi}
+	}
+
+	a := core.GetArena()
+	defer core.PutArena(a)
+	defer func() { st.SlabBytes += a.SlabBytes() }()
+	n := sn.NumBlocks()
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return st, err
+		}
+		if plan.Candidates != nil {
+			if _, ok := plan.Candidates[sn.Block(i)]; !ok {
+				continue
+			}
+		}
+		f := sn.Fence(i)
+		known := f.Known()
+		if bound != nil && known {
+			// Blocks are clustered and non-overlapping: once a block starts
+			// beyond the range, every later block does too.
+			if f.First[0] > bound.Hi {
+				st.BlocksPruned += countCandidates(sn, plan.Candidates, i, n)
+				return st, nil
+			}
+			if f.Last[0] < bound.Lo {
+				st.BlocksPruned++
+				continue
+			}
+		}
+		if a.SlabBytes() > 0 {
+			st.ArenaReuses++
+		}
+		a.Reset()
+		phis, hit, err := sn.ReadPhis(i, a)
 		if err != nil {
-			return false, err
+			return st, err
 		}
-		st.FlatPathHits++
-	} else {
-		start, err = core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] >= bound.Lo }, a)
-		if err != nil {
-			return false, err
+		if hit {
+			st.CacheHits++
+		} else {
+			st.BlocksRead++
 		}
-		end, err = core.SearchBlockArena(s, stream, func(tu relation.Tuple) bool { return tu[0] > bound.Hi }, a)
-		if err != nil {
-			return false, err
+		st.BatchBlocks++
+		st.SlabRows += len(phis) / k
+		if bound != nil {
+			if len(phis) > 0 && phis[0] > hiPhi {
+				// Only reachable with an unknown fence; nothing here or later
+				// qualifies (blocks are clustered).
+				return st, nil
+			}
+			from, to := core.SlabSpan(phis, k, loPhi, hiPhi)
+			phis = phis[from*k : to*k]
+		}
+		if len(residual) > 0 {
+			keep := 0
+		rows:
+			for r := 0; r < len(phis); r += k {
+				for _, p := range residual {
+					if d := p.dig.Digit(phis[r+p.dig.Limb]); d < p.lo || d > p.hi {
+						continue rows
+					}
+				}
+				copy(phis[keep:keep+k], phis[r:r+k])
+				keep += k
+			}
+			phis = phis[:keep]
+		}
+		st.Matches += len(phis) / k
+		if len(phis) > 0 && !kernel(phis) {
+			return st, nil
+		}
+		if bound != nil && known && f.Last[0] > bound.Hi {
+			// The range ends inside this block; the remainder is prunable.
+			st.BlocksPruned += countCandidates(sn, plan.Candidates, i+1, n)
+			return st, nil
 		}
 	}
-	if start >= end {
-		return false, nil
-	}
-	span, err := core.DecodeTupleSpanArena(s, stream, start, end, a)
-	if err != nil {
-		return false, err
-	}
-	if p.pooled == nil {
-		st.SlabBytes += a.SlabBytes()
-	}
-	for _, tu := range span {
-		if !matchesAll(rest, tu) {
-			continue
-		}
-		st.Matches++
-		if !emit(tu) {
-			return true, nil
-		}
-	}
-	return false, nil
+	return st, nil
 }
 
-// runFull decodes the whole block (through the decoded-block cache) and
-// filters every conjunct. With an unknown fence it also applies the
-// clustered stop rule: a block starting beyond the bound ends the pass.
-func (p *pass) runFull(i int, preds []Pred, bound *Pred, emit func(relation.Tuple) bool) (stop bool, err error) {
-	sn, st := p.sn, &p.st
-	a := p.arena()
-	tuples, hit, err := sn.ReadBlockArena(i, a)
-	if err != nil {
-		return false, err
-	}
-	if hit {
-		st.CacheHits++
-	} else {
-		st.BlocksRead++
-	}
-	st.FullDecodes++
-	if p.pooled == nil {
-		st.SlabBytes += a.SlabBytes()
-	}
-	if bound != nil && len(tuples) > 0 && tuples[0][0] > bound.Hi {
-		// Only reachable with an unknown fence; nothing here qualifies and
-		// neither does anything later.
-		return true, nil
-	}
-	for _, tu := range tuples {
-		if !matchesAll(preds, tu) {
-			continue
+// RunContext is RunBatch for tuple results: it streams the snapshot's
+// rows matching the plan to emit as tuples, in φ order. Only rows that
+// pass every predicate are inverted from their limbs, each block's into
+// one fresh allocation, so emitted tuples are safe to retain. emit
+// returning false stops the pass early; Matches then counts the rows
+// emitted up to the stop.
+func RunContext(ctx context.Context, sn *blockstore.Snapshot, plan Plan, emit func(relation.Tuple) bool) (Stats, error) {
+	s := sn.Schema()
+	n, k := s.NumAttrs(), s.Limbs().K
+	var err error
+	emitted := 0
+	st, rerr := runBatch(ctx, sn, plan, func(phis []uint64) bool {
+		rows := len(phis) / k
+		vals := make([]uint64, rows*n)
+		for r := 0; r < rows; r++ {
+			tu := relation.Tuple(vals[r*n : (r+1)*n : (r+1)*n])
+			if _, err = ordinal.PhiInverseLimbs(s, tu, phis[r*k:(r+1)*k]); err != nil {
+				return false
+			}
+			emitted++
+			if !emit(tu) {
+				return false
+			}
 		}
-		st.Matches++
-		if !emit(tu) {
-			return true, nil
-		}
+		return true
+	})
+	st.Matches = emitted
+	foldStats(sn, st)
+	if rerr != nil {
+		return st, rerr
 	}
-	return false, nil
-}
-
-// matchesAll reports whether tu satisfies every conjunct.
-func matchesAll(preds []Pred, tu relation.Tuple) bool {
-	for _, p := range preds {
-		if !p.matches(tu) {
-			return false
-		}
-	}
-	return true
+	return st, err
 }

@@ -22,7 +22,30 @@ func testSchema(t testing.TB) *relation.Schema {
 	)
 }
 
+// wideSchema is testSchema with a 2^62-value last attribute: the space
+// is 2^75, so φ takes two limbs (attributes 0-2, then 3). Every tuple of
+// randomTuples is valid in both schemas.
+func wideSchema(t testing.TB) *relation.Schema {
+	t.Helper()
+	return relation.MustSchema(
+		relation.Domain{Name: "dept", Size: 8},
+		relation.Domain{Name: "job", Size: 16},
+		relation.Domain{Name: "years", Size: 64},
+		relation.Domain{Name: "empno", Size: 1 << 62},
+	)
+}
+
+// schemas returns the one-limb and the two-limb test schema.
+func schemas(t testing.TB) []*relation.Schema {
+	return []*relation.Schema{testSchema(t), wideSchema(t)}
+}
+
 func newStore(t testing.TB, codec core.Codec, pageSize int) *blockstore.Store {
+	t.Helper()
+	return newStoreFor(t, testSchema(t), codec, pageSize)
+}
+
+func newStoreFor(t testing.TB, s *relation.Schema, codec core.Codec, pageSize int) *blockstore.Store {
 	t.Helper()
 	pager, err := storage.NewMemPager(pageSize)
 	if err != nil {
@@ -32,11 +55,11 @@ func newStore(t testing.TB, codec core.Codec, pageSize int) *blockstore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := blockstore.New(testSchema(t), codec, pool)
+	store, err := blockstore.New(s, codec, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return store
 }
 
 func randomTuples(t testing.TB, n int, seed int64) []relation.Tuple {
@@ -58,13 +81,18 @@ func allCodecs() []core.Codec {
 	return []core.Codec{core.CodecRaw, core.CodecAVQ, core.CodecRepOnly, core.CodecDeltaChain, core.CodecPacked}
 }
 
-// naiveSelect is the reference: full decode of every block, linear filter.
+// naiveSelect is the decode-all-then-filter reference: every loaded
+// tuple, linearly filtered by the conjunction.
 func naiveSelect(tuples []relation.Tuple, preds []Pred) []relation.Tuple {
 	var out []relation.Tuple
+next:
 	for _, tu := range tuples {
-		if matchesAll(preds, tu) {
-			out = append(out, tu)
+		for _, p := range preds {
+			if tu[p.Attr] < p.Lo || tu[p.Attr] > p.Hi {
+				continue next
+			}
 		}
+		out = append(out, tu)
 	}
 	return out
 }
@@ -83,11 +111,10 @@ func collect(t *testing.T, sn *blockstore.Snapshot, plan Plan) ([]relation.Tuple
 }
 
 // TestRunMatchesNaive is the executor's differential test: on every
-// codec, for clustered bounds, non-clustering predicates, conjunctions,
-// and both decode paths, Run must return exactly the tuples a full
-// decode-and-filter reference produces, in φ order.
+// codec and on a one-limb and a two-limb schema, for clustered bounds,
+// non-clustering predicates, and conjunctions, Run must return exactly
+// the tuples the decode-all-then-filter reference produces, in φ order.
 func TestRunMatchesNaive(t *testing.T) {
-	s := testSchema(t)
 	tuples := randomTuples(t, 1500, 21)
 	plans := []Plan{
 		{},
@@ -101,64 +128,61 @@ func TestRunMatchesNaive(t *testing.T) {
 	}
 	for _, codec := range allCodecs() {
 		t.Run(codec.String(), func(t *testing.T) {
-			store := newStore(t, codec, 512)
-			if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
-				t.Fatal(err)
-			}
-			sn := store.Snapshot()
-			defer sn.Release()
-			for pi, plan := range plans {
-				want := naiveSelect(tuples, plan.Preds)
-				for _, noPartial := range []bool{false, true} {
-					plan.NoPartial = noPartial
+			for _, s := range schemas(t) {
+				store := newStoreFor(t, s, codec, 512)
+				if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
+					t.Fatal(err)
+				}
+				sn := store.Snapshot()
+				for pi, plan := range plans {
+					want := naiveSelect(tuples, plan.Preds)
 					got, st := collect(t, sn, plan)
 					if len(got) != len(want) {
-						t.Fatalf("plan %d noPartial=%v: %d matches, want %d", pi, noPartial, len(got), len(want))
+						t.Fatalf("%v plan %d: %d matches, want %d", s, pi, len(got), len(want))
 					}
 					for i := range got {
 						if s.Compare(got[i], want[i]) != 0 {
-							t.Fatalf("plan %d noPartial=%v: tuple %d = %v, want %v", pi, noPartial, i, got[i], want[i])
+							t.Fatalf("%v plan %d: tuple %d = %v, want %v", s, pi, i, got[i], want[i])
 						}
 					}
 					if st.Matches != len(want) {
-						t.Fatalf("plan %d: Matches=%d, want %d", pi, st.Matches, len(want))
+						t.Fatalf("%v plan %d: Matches=%d, want %d", s, pi, st.Matches, len(want))
 					}
 					if st.BlocksRead+st.CacheHits+st.BlocksPruned > st.BlocksTotal {
-						t.Fatalf("plan %d: accounting exceeds total: %+v", pi, st)
+						t.Fatalf("%v plan %d: accounting exceeds total: %+v", s, pi, st)
 					}
 				}
+				sn.Release()
 			}
 		})
 	}
 }
 
-// TestRunPrunesAndPartialDecodes: a selective clustered range must skip
-// non-intersecting blocks on their fences alone and decode boundary
-// blocks partially.
-func TestRunPrunesAndPartialDecodes(t *testing.T) {
-	store := newStore(t, core.CodecAVQ, 512)
+// TestRunPrunes: a selective clustered range must skip non-intersecting
+// blocks on their fences alone, on one-limb and two-limb schemas.
+func TestRunPrunes(t *testing.T) {
 	tuples := randomTuples(t, 4000, 22)
-	if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
-		t.Fatal(err)
-	}
-	sn := store.Snapshot()
-	defer sn.Release()
-	got, st := collect(t, sn, Plan{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}})
-	want := naiveSelect(tuples, []Pred{{Attr: 0, Lo: 3, Hi: 3}})
-	if len(got) != len(want) {
-		t.Fatalf("%d matches, want %d", len(got), len(want))
-	}
-	if st.BlocksPruned == 0 {
-		t.Fatalf("no blocks pruned on a 1-of-8 clustered range: %+v", st)
-	}
-	if st.PartialDecodes == 0 {
-		t.Fatalf("no partial decodes on a straddling range: %+v", st)
-	}
-	if st.BlocksRead >= st.BlocksTotal {
-		t.Fatalf("pruning read every block: %+v", st)
-	}
-	if st.BlocksPruned+st.BlocksRead+st.CacheHits != st.BlocksTotal {
-		t.Fatalf("every block must be pruned or visited: %+v", st)
+	for _, s := range schemas(t) {
+		store := newStoreFor(t, s, core.CodecAVQ, 512)
+		if _, err := store.BulkLoadContext(context.Background(), tuples); err != nil {
+			t.Fatal(err)
+		}
+		sn := store.Snapshot()
+		got, st := collect(t, sn, Plan{Preds: []Pred{{Attr: 0, Lo: 3, Hi: 3}}})
+		want := naiveSelect(tuples, []Pred{{Attr: 0, Lo: 3, Hi: 3}})
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d matches, want %d", s, len(got), len(want))
+		}
+		if st.BlocksPruned == 0 {
+			t.Fatalf("%v: no blocks pruned on a 1-of-8 clustered range: %+v", s, st)
+		}
+		if st.BlocksRead >= st.BlocksTotal {
+			t.Fatalf("%v: pruning read every block: %+v", s, st)
+		}
+		if st.BlocksPruned+st.BlocksRead+st.CacheHits != st.BlocksTotal {
+			t.Fatalf("%v: every block must be pruned or visited: %+v", s, st)
+		}
+		sn.Release()
 	}
 }
 
@@ -201,68 +225,8 @@ func TestRunEarlyStop(t *testing.T) {
 	if seen != 5 || st.Matches != 5 {
 		t.Fatalf("early stop after %d tuples (Matches=%d)", seen, st.Matches)
 	}
-	if st.FullDecodes != 1 {
-		t.Fatalf("early stop decoded %d blocks", st.FullDecodes)
-	}
-}
-
-// TestIteratorSeekAndNext: the iterator must stream every tuple in φ
-// order and Seek must land on the first tuple >= target, finding the
-// block by fence binary search without reading the skipped prefix.
-func TestIteratorSeekAndNext(t *testing.T) {
-	ctx := context.Background()
-	s := testSchema(t)
-	tuples := randomTuples(t, 1500, 25)
-	for _, codec := range allCodecs() {
-		store := newStore(t, codec, 512)
-		if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
-			t.Fatal(err)
-		}
-		sn := store.Snapshot()
-		it := NewIteratorContext(ctx, sn)
-		for i := 0; ; i++ {
-			tu, ok, err := it.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				if i != len(tuples) {
-					t.Fatalf("%v: iterator ended after %d of %d", codec, i, len(tuples))
-				}
-				break
-			}
-			if s.Compare(tu, tuples[i]) != 0 {
-				t.Fatalf("%v: tuple %d = %v, want %v", codec, i, tu, tuples[i])
-			}
-		}
-		// Seek to a mid-table target.
-		target := tuples[len(tuples)*3/4]
-		before := it.Stats.BlocksRead + it.Stats.CacheHits
-		if err := it.Seek(target); err != nil {
-			t.Fatal(err)
-		}
-		visited := it.Stats.BlocksRead + it.Stats.CacheHits - before
-		if visited != 1 {
-			t.Fatalf("%v: seek visited %d blocks, want 1", codec, visited)
-		}
-		tu, ok, err := it.Next()
-		if err != nil || !ok {
-			t.Fatalf("%v: seek/next: ok=%v err=%v", codec, ok, err)
-		}
-		if s.Compare(tu, target) < 0 {
-			t.Fatalf("%v: seek landed below target", codec)
-		}
-		// Seek beyond everything.
-		top := relation.Tuple{7, 15, 63, 4095}
-		if s.Compare(tuples[len(tuples)-1], top) < 0 {
-			if err := it.Seek(top); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, _ := it.Next(); ok {
-				t.Fatalf("%v: seek past the end still yields tuples", codec)
-			}
-		}
-		sn.Release()
+	if st.BatchBlocks != 1 {
+		t.Fatalf("early stop decoded %d blocks", st.BatchBlocks)
 	}
 }
 

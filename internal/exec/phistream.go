@@ -1,6 +1,8 @@
 package exec
 
-// PhiStream is a φ-ordered stream of per-block ordinal slabs — the shape
+import "repro/internal/relation"
+
+// PhiStream is a φ-ordered stream of per-block φ slabs — the shape
 // merge-style operators consume. BatchIterator implements it over one
 // snapshot; ChainPhiStreams concatenates per-shard iterators into one
 // table-wide stream (φ-range shards are disjoint and ordered, so shard
@@ -10,9 +12,9 @@ type PhiStream interface {
 	// The slab is valid only until the next NextPhis call.
 	NextPhis() ([]uint64, error)
 	// SeekPhi advances the stream (forward only) past blocks that cannot
-	// contain a φ >= target. Best-effort: the stream may still deliver
-	// smaller ordinals (unknown fences, in-block prefixes); consumers
-	// must skip within slabs themselves.
+	// hold a row whose limb 0 is >= target. Best-effort: the stream may
+	// still deliver smaller rows (unknown fences, in-block prefixes);
+	// consumers must skip within slabs themselves.
 	SeekPhi(target uint64) error
 }
 
@@ -66,18 +68,33 @@ func (c *chainedPhis) SeekPhi(target uint64) error {
 // phiRun is one side of a φ-space merge join: a PhiStream plus the
 // in-slab cursor and a reusable group buffer (a key group can span slab
 // boundaries, and slabs die at the next pull, so groups are copied out).
+// Rows are k limbs wide; the join key is attribute 0, which lives in
+// limb 0 with weight w0, so every comparison reads one word per row.
 type phiRun struct {
 	src  PhiStream
-	w0   uint64 // attribute-0 weight: key(φ) = φ / w0
+	k    int
+	w0   uint64 // attribute 0's weight in limb 0: key = limb0 / w0
+	u0   uint64 // attribute 0's domain size: every key is below it
 	slab []uint64
-	pos  int
+	pos  int // row index into slab
 	done bool
 	buf  []uint64
 }
 
+func newPhiRun(src PhiStream, s *relation.Schema) *phiRun {
+	l := s.Limbs()
+	return &phiRun{src: src, k: l.K, w0: l.Weight[0], u0: l.Size[0]}
+}
+
+// rows returns the number of rows in the current slab.
+func (r *phiRun) rows() int { return len(r.slab) / r.k }
+
+// head returns row i's limb 0.
+func (r *phiRun) head(i int) uint64 { return r.slab[i*r.k] }
+
 // fill ensures the run is positioned on a row or done.
 func (r *phiRun) fill() error {
-	for !r.done && r.pos >= len(r.slab) {
+	for !r.done && r.pos >= r.rows() {
 		slab, err := r.src.NextPhis()
 		if err != nil {
 			return err
@@ -92,28 +109,40 @@ func (r *phiRun) fill() error {
 }
 
 // key returns the current row's join key (the attribute-0 digit).
-func (r *phiRun) key() uint64 { return r.slab[r.pos] / r.w0 }
+func (r *phiRun) key() uint64 { return r.head(r.pos) / r.w0 }
+
+// firstAtLeast returns the first row at or after the cursor whose limb 0
+// is >= target, by binary search.
+func (r *phiRun) firstAtLeast(target uint64) int {
+	lo, hi := r.pos, r.rows()
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.head(mid) < target {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // seekKey advances the run to the first row with key >= k: binary search
 // within the current slab, and a fence-level stream seek once the slab is
-// exhausted below the target.
+// exhausted below the target. k comes from the other side, whose
+// attribute-0 domain may be wider: a key at or past this side's domain
+// ends the run (k * w0 would overflow limb 0's radix).
 func (r *phiRun) seekKey(k uint64) error {
+	if k >= r.u0 {
+		r.slab, r.pos, r.done = nil, 0, true
+		return nil
+	}
 	target := k * r.w0
 	for {
 		if err := r.fill(); err != nil || r.done {
 			return err
 		}
-		if r.slab[len(r.slab)-1] >= target {
-			lo, hi := r.pos, len(r.slab)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if r.slab[mid] < target {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			r.pos = lo
+		if r.head(r.rows()-1) >= target {
+			r.pos = r.firstAtLeast(target)
 			return nil
 		}
 		// Whole remaining slab is below the key: skip ahead on fences.
@@ -130,41 +159,34 @@ func (r *phiRun) seekKey(k uint64) error {
 // group.
 func (r *phiRun) collectGroup(k uint64) ([]uint64, error) {
 	r.buf = r.buf[:0]
-	limit := (k + 1) * r.w0 // first φ past the group; ≤ ||R||, no overflow
+	limit := (k + 1) * r.w0 // first limb 0 past the group; ≤ limb 0's radix
 	for {
-		lo, hi := r.pos, len(r.slab)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if r.slab[mid] < limit {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		r.buf = append(r.buf, r.slab[r.pos:lo]...)
-		r.pos = lo
-		if lo < len(r.slab) {
+		end := r.firstAtLeast(limit)
+		r.buf = append(r.buf, r.slab[r.pos*r.k:end*r.k]...)
+		r.pos = end
+		if end < r.rows() {
 			return r.buf, nil
 		}
 		if err := r.fill(); err != nil {
 			return nil, err
 		}
-		if r.done || r.slab[r.pos] >= limit {
+		if r.done || r.head(r.pos) >= limit {
 			return r.buf, nil
 		}
 	}
 }
 
-// MergeJoinPhis advances two φ-ordered streams in lockstep, comparing
-// raw attribute-0 digits (φ / w0 — single integer divides, no tuples),
-// and hands emitGroup each matching key with both sides' complete φ
-// groups. The group slices are reused across calls; emitGroup must copy
-// what it keeps, and returning false stops the join. The lagging side
-// skips ahead by in-slab binary search and fence-level SeekPhi, so a
-// sparse join touches only the blocks that can hold matching keys.
-func MergeJoinPhis(left, right PhiStream, lw0, rw0 uint64, emitGroup func(key uint64, lphis, rphis []uint64) bool) error {
-	l := &phiRun{src: left, w0: lw0}
-	r := &phiRun{src: right, w0: rw0}
+// MergeJoinPhis advances two φ-ordered streams over schemas ls and rs in
+// lockstep, comparing raw attribute-0 digits (limb 0 / w0 — one word and
+// one divide per row, no tuples), and hands emitGroup each matching key
+// with both sides' complete groups as stride-K φ slabs. The group slices
+// are reused across calls; emitGroup must copy what it keeps, and
+// returning false stops the join. The lagging side skips ahead by
+// in-slab binary search and fence-level SeekPhi, so a sparse join touches
+// only the blocks that can hold matching keys.
+func MergeJoinPhis(left, right PhiStream, ls, rs *relation.Schema, emitGroup func(key uint64, lphis, rphis []uint64) bool) error {
+	l := newPhiRun(left, ls)
+	r := newPhiRun(right, rs)
 	if err := l.fill(); err != nil {
 		return err
 	}

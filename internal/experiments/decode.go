@@ -17,9 +17,9 @@ import (
 )
 
 // DecodeConfig parameterizes the decode-kernel experiment: the
-// zero-allocation arena paths versus the allocating reference, the
-// flat-ordinal span walk versus binary-search probing, and the same
-// macro workload RunObs times so the benchgate can compare across PRs.
+// zero-allocation arena tuple decode versus the allocating reference,
+// the φ slab decode the executor runs, and the same macro workload
+// RunObs times so the benchgate can compare across PRs.
 type DecodeConfig struct {
 	// Tuples is the macro relation size; default 100_000.
 	Tuples int
@@ -60,23 +60,26 @@ func (c *DecodeConfig) fillDefaults() {
 	}
 }
 
-// DecodeCodecResult is one codec's arena-versus-allocating comparison on
-// a full-block decode.
+// DecodeCodecResult is one codec's full-block decode: the arena tuple
+// decode against the allocating reference, and the φ slab decode on the
+// flat micro schema and on the paper's 16-attribute relation.
 type DecodeCodecResult struct {
-	Codec            string  `json:"codec"`
-	ArenaNsPerOp     float64 `json:"arena_ns_per_op"`
-	AllocNsPerOp     float64 `json:"alloc_ns_per_op"`
-	ArenaAllocsPerOp float64 `json:"arena_allocs_per_op"`
-	AllocAllocsPerOp float64 `json:"alloc_allocs_per_op"`
-	SpeedupPct       float64 `json:"speedup_pct"`
+	Codec                string  `json:"codec"`
+	ArenaNsPerOp         float64 `json:"arena_ns_per_op"`
+	AllocNsPerOp         float64 `json:"alloc_ns_per_op"`
+	ArenaAllocsPerOp     float64 `json:"arena_allocs_per_op"`
+	AllocAllocsPerOp     float64 `json:"alloc_allocs_per_op"`
+	SpeedupPct           float64 `json:"speedup_pct"`
+	SlabNsPerOp          float64 `json:"slab_ns_per_op"`
+	SlabAllocsPerOp      float64 `json:"slab_allocs_per_op"`
+	PaperSlabNsPerOp     float64 `json:"paper_slab_ns_per_op"`
+	PaperTupleNsPerOp    float64 `json:"paper_tuple_ns_per_op"`
+	PaperSlabAllocsPerOp float64 `json:"paper_slab_allocs_per_op"`
 }
 
-// DecodeResult reports the decode-kernel measurements. Gates:
-//   - every codec's steady-state arena decode allocates zero objects per
-//     block (ZeroAllocPass);
-//   - the flat-ordinal PhiSpan walk beats the SearchBlock probe pair by
-//     at least MinFlatSpeedupPct on the clustering-range workload
-//     (FlatPass).
+// DecodeResult reports the decode-kernel measurements. Gate: every
+// codec's steady-state arena tuple decode and φ slab decode, on both
+// schemas, allocate zero objects per block (ZeroAllocPass).
 //
 // LoadMillis and CountMillis repeat RunObs's uninstrumented workload so
 // scripts/benchgate.sh can hold this PR against the committed
@@ -90,24 +93,26 @@ type DecodeResult struct {
 
 	Codecs []DecodeCodecResult `json:"codecs"`
 
-	PhiSpanNsPerOp     float64 `json:"phispan_ns_per_op"`
-	SearchNsPerOp      float64 `json:"search_ns_per_op"`
-	PhiSpanAllocsPerOp float64 `json:"phispan_allocs_per_op"`
-	FlatSpeedupPct     float64 `json:"flat_speedup_pct"`
-	MinFlatSpeedupPct  float64 `json:"min_flat_speedup_pct"`
-
 	LoadMillis  float64 `json:"load_ms"`
 	CountMillis float64 `json:"count_ms"`
 
 	ZeroAllocPass bool `json:"zero_alloc_pass"`
-	FlatPass      bool `json:"flat_pass"`
 	Pass          bool `json:"pass"`
 }
 
-// decodeMinFlatSpeedupPct is the acceptance floor for the flat-ordinal
-// path: PhiSpan must be at least this much faster than the SearchBlock
-// probe pair it replaces.
-const decodeMinFlatSpeedupPct = 25.0
+// allCodecs lists every block codec, in report order.
+var allCodecs = []core.Codec{
+	core.CodecRaw, core.CodecAVQ, core.CodecRepOnly,
+	core.CodecDeltaChain, core.CodecPacked,
+}
+
+// verdict renders a gate outcome.
+func verdict(b bool) string {
+	if b {
+		return "PASS"
+	}
+	return "FAIL"
+}
 
 // bestNsPerOp times f over cfg.Iters iterations, cfg.Rounds times, and
 // returns the fastest round's per-iteration nanoseconds.
@@ -155,7 +160,7 @@ func allocsPerOp(runs int, f func()) float64 {
 
 // decodeMicroBlock builds a sorted block of cfg.BlockTuples random
 // tuples over the paper's five-attribute employee schema, whose
-// cross-product space fits a uint64 so the flat-ordinal path is live.
+// cross-product space fits a uint64: φ is one limb.
 func decodeMicroBlock(cfg DecodeConfig) (*relation.Schema, []relation.Tuple) {
 	s := relation.MustSchema(
 		relation.Domain{Name: "dept", Size: 8},
@@ -177,29 +182,39 @@ func decodeMicroBlock(cfg DecodeConfig) (*relation.Schema, []relation.Tuple) {
 	return s, tuples
 }
 
+// paperMicroBlock builds a sorted block of n tuples of the paper's
+// 16-attribute, 38-byte relation (gen.Spec38Byte), whose φ takes four
+// limbs.
+func paperMicroBlock(n int, seed int64) (*relation.Schema, []relation.Tuple, error) {
+	s, tuples, err := gen.Spec38Byte(n, true, seed).Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	s.SortTuples(tuples)
+	return s, tuples, nil
+}
+
 // RunDecode measures the zero-allocation decode kernels: per-codec
-// arena-versus-allocating full-block decode, the flat-ordinal PhiSpan
-// walk against SearchBlock probing, and the BulkLoad/CountRange macro
-// workload shared with RunObs.
+// arena-versus-allocating tuple decode, the φ slab decode on a one-limb
+// and a four-limb schema, and the BulkLoad/CountRange macro workload
+// shared with RunObs.
 func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	cfg.fillDefaults()
 	res := &DecodeResult{
-		Tuples:            cfg.Tuples,
-		PageSize:          cfg.PageSize,
-		BlockTuples:       cfg.BlockTuples,
-		Rounds:            cfg.Rounds,
-		CountIters:        cfg.CountIters,
-		MinFlatSpeedupPct: decodeMinFlatSpeedupPct,
-		ZeroAllocPass:     true,
+		Tuples:        cfg.Tuples,
+		PageSize:      cfg.PageSize,
+		BlockTuples:   cfg.BlockTuples,
+		Rounds:        cfg.Rounds,
+		CountIters:    cfg.CountIters,
+		ZeroAllocPass: true,
 	}
 
 	s, block := decodeMicroBlock(cfg)
-
-	codecs := []core.Codec{
-		core.CodecRaw, core.CodecAVQ, core.CodecRepOnly,
-		core.CodecDeltaChain, core.CodecPacked,
+	ps, pblock, err := paperMicroBlock(cfg.BlockTuples, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range codecs {
+	for _, c := range allCodecs {
 		enc, err := core.EncodeBlock(c, s, block, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%v: encode: %w", c, err)
@@ -226,46 +241,37 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 		if cr.AllocNsPerOp > 0 {
 			cr.SpeedupPct = (cr.AllocNsPerOp - cr.ArenaNsPerOp) / cr.AllocNsPerOp * 100
 		}
-		if cr.ArenaAllocsPerOp != 0 {
+		slabOp := func() {
+			a.Reset()
+			if _, err := core.DecodeBlockPhis(s, enc, a); err != nil {
+				panic(err)
+			}
+		}
+		cr.SlabNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, slabOp)
+		cr.SlabAllocsPerOp = allocsPerOp(100, slabOp)
+		penc, err := core.EncodeBlock(c, ps, pblock, nil)
+		if err != nil {
+			return nil, fmt.Errorf("%v: encode paper block: %w", c, err)
+		}
+		paperSlabOp := func() {
+			a.Reset()
+			if _, err := core.DecodeBlockPhis(ps, penc, a); err != nil {
+				panic(err)
+			}
+		}
+		cr.PaperSlabNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, paperSlabOp)
+		cr.PaperSlabAllocsPerOp = allocsPerOp(100, paperSlabOp)
+		cr.PaperTupleNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, func() {
+			a.Reset()
+			if _, err := core.DecodeBlockArena(ps, penc, a); err != nil {
+				panic(err)
+			}
+		})
+		if cr.ArenaAllocsPerOp != 0 || cr.SlabAllocsPerOp != 0 || cr.PaperSlabAllocsPerOp != 0 {
 			res.ZeroAllocPass = false
 		}
 		res.Codecs = append(res.Codecs, cr)
 	}
-
-	// Flat-ordinal span walk versus the binary-search probe pair it
-	// replaces, on the clustering-range shape exec's partial path uses.
-	w, ok := s.FlatWeights()
-	if !ok {
-		return nil, fmt.Errorf("micro schema unexpectedly non-flat")
-	}
-	enc, err := core.EncodeBlock(core.CodecAVQ, s, block, nil)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := uint64(2), uint64(5)
-	a := core.NewArena()
-	spanOp := func() {
-		a.Reset()
-		if _, _, err := core.PhiSpan(s, enc, lo*w[0], hi*w[0]+(w[0]-1), a); err != nil {
-			panic(err)
-		}
-	}
-	searchOp := func() {
-		a.Reset()
-		if _, err := core.SearchBlockArena(s, enc, func(tu relation.Tuple) bool { return tu[0] >= lo }, a); err != nil {
-			panic(err)
-		}
-		if _, err := core.SearchBlockArena(s, enc, func(tu relation.Tuple) bool { return tu[0] > hi }, a); err != nil {
-			panic(err)
-		}
-	}
-	res.PhiSpanNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, spanOp)
-	res.SearchNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, searchOp)
-	res.PhiSpanAllocsPerOp = allocsPerOp(100, spanOp)
-	if res.SearchNsPerOp > 0 {
-		res.FlatSpeedupPct = (res.SearchNsPerOp - res.PhiSpanNsPerOp) / res.SearchNsPerOp * 100
-	}
-	res.FlatPass = res.FlatSpeedupPct >= res.MinFlatSpeedupPct
 
 	// Macro workload: RunObs's uninstrumented BulkLoad + CountRange, so
 	// the benchgate can hold this result against BENCH_obs.json.
@@ -308,32 +314,24 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	res.LoadMillis = float64(load.Microseconds()) / 1e3
 	res.CountMillis = float64(count.Microseconds()) / 1e3
 
-	res.Pass = res.ZeroAllocPass && res.FlatPass
+	res.Pass = res.ZeroAllocPass
 	return res, nil
 }
 
 // WriteText renders the result as an aligned report.
 func (r *DecodeResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "Decode kernels: %d-tuple blocks, best of %d rounds\n", r.BlockTuples, r.Rounds)
-	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s %9s\n",
-		"codec", "arena ns/op", "alloc ns/op", "arena a/op", "alloc a/op", "speedup")
+	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s %9s %12s %10s %12s %12s\n",
+		"codec", "arena ns/op", "alloc ns/op", "arena a/op", "alloc a/op", "speedup",
+		"slab ns/op", "slab a/op", "paper slab", "paper tuple")
 	for _, c := range r.Codecs {
-		fmt.Fprintf(w, "%-12s %12.0f %12.0f %10.1f %10.1f %8.1f%%\n",
-			c.Codec, c.ArenaNsPerOp, c.AllocNsPerOp, c.ArenaAllocsPerOp, c.AllocAllocsPerOp, c.SpeedupPct)
+		fmt.Fprintf(w, "%-12s %12.0f %12.0f %10.1f %10.1f %8.1f%% %12.0f %10.1f %12.0f %12.0f\n",
+			c.Codec, c.ArenaNsPerOp, c.AllocNsPerOp, c.ArenaAllocsPerOp, c.AllocAllocsPerOp, c.SpeedupPct,
+			c.SlabNsPerOp, c.SlabAllocsPerOp, c.PaperSlabNsPerOp, c.PaperTupleNsPerOp)
 	}
-	fmt.Fprintf(w, "flat-ordinal span: PhiSpan %.0f ns/op (%.1f allocs/op) vs SearchBlock %.0f ns/op: %.1f%% faster\n",
-		r.PhiSpanNsPerOp, r.PhiSpanAllocsPerOp, r.SearchNsPerOp, r.FlatSpeedupPct)
 	fmt.Fprintf(w, "macro (%d tuples, %d-byte pages): bulk load %.2f ms, count-range x%d %.2f ms\n",
 		r.Tuples, r.PageSize, r.LoadMillis, r.CountIters, r.CountMillis)
-	verdict := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	fmt.Fprintf(w, "gate: steady-state arena decode allocates 0 objects/op: %s\n", verdict(r.ZeroAllocPass))
-	fmt.Fprintf(w, "gate: flat-ordinal path >= %.0f%% faster than probing: %s\n",
-		r.MinFlatSpeedupPct, verdict(r.FlatPass))
+	fmt.Fprintf(w, "gate: steady-state arena and slab decode allocate 0 objects/op: %s\n", verdict(r.ZeroAllocPass))
 	return nil
 }
 

@@ -351,20 +351,16 @@ func TestPruningSmallScale(t *testing.T) {
 	if res.Blocks <= 0 || len(res.Rows) == 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
-	// The paper's selective ranges must show real pruning with the partial
-	// decode path engaged on the boundary blocks.
+	// The paper's selective ranges must show real pruning.
 	selective := res.Rows[0]
 	if selective.PrunedPercent <= 0 {
 		t.Fatalf("selective range pruned nothing: %+v", selective)
-	}
-	if selective.PartialDecodes == 0 {
-		t.Fatalf("selective range never partial-decoded: %+v", selective)
 	}
 	for _, row := range res.Rows {
 		if row.Matches <= 0 {
 			t.Fatalf("empty range at selectivity %.2f", row.Selectivity)
 		}
-		if row.BlocksPruned+row.FullDecodes+row.PartialDecodes != row.BlocksTotal {
+		if row.BlocksPruned+row.FullDecodes != row.BlocksTotal {
 			t.Fatalf("block accounting broken: %+v", row)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -46,19 +45,16 @@ type PruningRow struct {
 	Hi          uint64  `json:"hi"`
 	Matches     int     `json:"matches"`
 
-	BlocksTotal    int     `json:"blocks_total"`
-	BlocksPruned   int     `json:"blocks_pruned"`
-	PrunedPercent  float64 `json:"pruned_percent"`
-	FullDecodes    int     `json:"full_decodes"`
-	PartialDecodes int     `json:"partial_decodes"`
+	BlocksTotal   int     `json:"blocks_total"`
+	BlocksPruned  int     `json:"blocks_pruned"`
+	PrunedPercent float64 `json:"pruned_percent"`
+	FullDecodes   int     `json:"full_decodes"`
 
 	// NaiveMillis reads and decodes every block and filters — the read
-	// path before the executor. FenceMillis adds φ-fence pruning but
-	// decodes surviving blocks fully (Plan.NoPartial). PartialMillis is
-	// the full executor: pruning plus span decodes of straddling blocks.
-	NaiveMillis   float64 `json:"naive_ms"`
-	FenceMillis   float64 `json:"fence_ms"`
-	PartialMillis float64 `json:"partial_ms"`
+	// path before the executor. ExecMillis is the executor: φ-fence
+	// pruning, then φ slab decodes clipped to the range.
+	NaiveMillis float64 `json:"naive_ms"`
+	ExecMillis  float64 `json:"exec_ms"`
 
 	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
 }
@@ -73,8 +69,8 @@ type PruningResult struct {
 	Rows []PruningRow `json:"rows"`
 }
 
-// RunPruning measures what the snapshot executor's φ-fence pruning and
-// partial decodes buy on clustered range queries of varying selectivity,
+// RunPruning measures what the snapshot executor's φ-fence pruning buys
+// on clustered range queries of varying selectivity,
 // against the old read path (decode every block, filter). Every variant is
 // checked to return the same number of matches.
 func RunPruning(ctx context.Context, cfg PruningConfig) (*PruningResult, error) {
@@ -125,7 +121,7 @@ func RunPruning(ctx context.Context, cfg PruningConfig) (*PruningResult, error) 
 	return res, nil
 }
 
-// runPruningQuery times the three read paths on one range.
+// runPruningQuery times the two read paths on one range.
 func runPruningQuery(ctx context.Context, store *blockstore.Store, sel float64, lo, hi uint64, reps int) (PruningRow, error) {
 	row := PruningRow{Selectivity: sel, Lo: lo, Hi: hi}
 	plan := exec.Plan{Preds: []exec.Pred{{Attr: 0, Lo: lo, Hi: hi}}}
@@ -155,38 +151,25 @@ func runPruningQuery(ctx context.Context, store *blockstore.Store, sel float64, 
 		return row, err
 	}
 
-	// Fence pruning with full decodes only.
-	fencePlan := plan
-	fencePlan.NoPartial = true
-	fence, fenceMatches, err := timeExec(ctx, store, fencePlan, reps, nil)
-	if err != nil {
-		return row, err
-	}
-
-	// The full executor: pruning plus partial decodes.
 	var st exec.Stats
-	partial, partialMatches, err := timeExec(ctx, store, plan, reps, &st)
+	execMs, execMatches, err := timeExec(ctx, store, plan, reps, &st)
 	if err != nil {
 		return row, err
 	}
-
-	if naiveMatches != fenceMatches || naiveMatches != partialMatches {
-		return row, fmt.Errorf("pruning: match counts diverge: naive %d, fence %d, partial %d",
-			naiveMatches, fenceMatches, partialMatches)
+	if naiveMatches != execMatches {
+		return row, fmt.Errorf("pruning: match counts diverge: naive %d, exec %d", naiveMatches, execMatches)
 	}
-	row.Matches = partialMatches
+	row.Matches = execMatches
 	row.BlocksTotal = st.BlocksTotal
 	row.BlocksPruned = st.BlocksPruned
 	if st.BlocksTotal > 0 {
 		row.PrunedPercent = 100 * float64(st.BlocksPruned) / float64(st.BlocksTotal)
 	}
-	row.FullDecodes = st.FullDecodes
-	row.PartialDecodes = st.PartialDecodes
+	row.FullDecodes = st.BatchBlocks
 	row.NaiveMillis = naive
-	row.FenceMillis = fence
-	row.PartialMillis = partial
-	if partial > 0 {
-		row.SpeedupVsNaive = naive / partial
+	row.ExecMillis = execMs
+	if execMs > 0 {
+		row.SpeedupVsNaive = naive / execMs
 	}
 	return row, nil
 }
@@ -198,18 +181,14 @@ func timeExec(ctx context.Context, store *blockstore.Store, plan exec.Plan, reps
 	return timePasses(reps, func() (int, error) {
 		sn := store.Snapshot()
 		defer sn.Release()
-		matches := 0
-		st, err := exec.RunContext(ctx, sn, plan, func(relation.Tuple) bool {
-			matches++
-			return true
-		})
+		st, err := exec.RunBatch(ctx, sn, plan, func([]uint64) bool { return true })
 		if err != nil {
 			return 0, err
 		}
 		if out != nil {
 			*out = st
 		}
-		return matches, nil
+		return st.Matches, nil
 	})
 }
 
@@ -231,7 +210,7 @@ func timePasses(reps int, fn func() (int, error)) (float64, int, error) {
 func (r *PruningResult) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "Phi-fence pruning: %d tuples in %d %s blocks of %d bytes, range on A1\n",
 		r.Tuples, r.Blocks, r.Codec, r.PageSize)
-	t := &textTable{header: []string{"sel %", "rows", "pruned", "pruned %", "full", "partial", "naive ms", "fence ms", "exec ms", "speedup"}}
+	t := &textTable{header: []string{"sel %", "rows", "pruned", "pruned %", "decoded", "naive ms", "exec ms", "speedup"}}
 	for _, row := range r.Rows {
 		t.addRow(
 			fmt.Sprintf("%.0f", 100*row.Selectivity),
@@ -239,16 +218,14 @@ func (r *PruningResult) WriteText(w io.Writer) error {
 			fmt.Sprintf("%d/%d", row.BlocksPruned, row.BlocksTotal),
 			fmt.Sprintf("%.1f", row.PrunedPercent),
 			fmt.Sprintf("%d", row.FullDecodes),
-			fmt.Sprintf("%d", row.PartialDecodes),
 			fmt.Sprintf("%.2f", row.NaiveMillis),
-			fmt.Sprintf("%.2f", row.FenceMillis),
-			fmt.Sprintf("%.2f", row.PartialMillis),
+			fmt.Sprintf("%.2f", row.ExecMillis),
 			fmt.Sprintf("%.1fx", row.SpeedupVsNaive))
 	}
 	if err := t.write(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nnaive decodes every block; fence adds phi-fence pruning (full decodes);\nexec adds partial span decodes of the straddling boundary blocks\n")
+	fmt.Fprintf(w, "\nnaive decodes every block; exec prunes on phi-fences and clips\neach decoded phi slab to the range\n")
 	return nil
 }
 

@@ -87,13 +87,7 @@ type Schema struct {
 	widths  []int // byte width of each attribute
 	rowSize int   // total fixed-width bytes per tuple
 
-	// Flat-ordinal cache: when ||R|| = prod |A_i| fits in a uint64, phi
-	// values are single machine words and chain arithmetic can run on them
-	// directly instead of digit-wise. flatWeights[i] = prod_{j>i} |A_j| is
-	// the positional weight of attribute i in phi.
-	flat        bool
-	flatSpace   uint64   // ||R||, valid only when flat
-	flatWeights []uint64 // len == len(domains), valid only when flat
+	limbs Limbs // φ's limb layout, computed once
 }
 
 // NewSchema builds a schema from the given domains. It returns an error if
@@ -119,32 +113,8 @@ func NewSchema(domains ...Domain) (*Schema, error) {
 		off += w
 	}
 	s.rowSize = off
-	s.computeFlat()
+	s.limbs = newLimbs(s.domains)
 	return s, nil
-}
-
-// computeFlat precomputes the uint64 fast-path weights when the whole
-// cross-product space fits in 64 bits. Weights are built back to front:
-// w[n-1] = 1, w[i] = w[i+1] * |A_{i+1}|, and ||R|| = w[0] * |A_0|. Any
-// multiplication that overflows uint64 disables the fast path.
-func (s *Schema) computeFlat() {
-	n := len(s.domains)
-	w := make([]uint64, n)
-	w[n-1] = 1
-	for i := n - 2; i >= 0; i-- {
-		size := s.domains[i+1].Size
-		w[i] = w[i+1] * size
-		if size != 0 && w[i]/size != w[i+1] {
-			return // overflow: space exceeds 64 bits
-		}
-	}
-	space := w[0] * s.domains[0].Size
-	if s.domains[0].Size != 0 && space/s.domains[0].Size != w[0] {
-		return
-	}
-	s.flat = true
-	s.flatSpace = space
-	s.flatWeights = w
 }
 
 // MustSchema is like NewSchema but panics on error. It is intended for
@@ -196,21 +166,9 @@ func (s *Schema) SpaceSize() *big.Int {
 	return size
 }
 
-// FlatSpace returns ||R|| as a uint64 when the cross-product space fits in
-// 64 bits, enabling the flat-ordinal fast path (phi values as single machine
-// words). ok is false when the space exceeds 64 bits; callers must then use
-// the digit-wise mixed-radix arithmetic.
-func (s *Schema) FlatSpace() (space uint64, ok bool) {
-	return s.flatSpace, s.flat
-}
-
-// FlatWeights returns the positional weights of the flat-ordinal fast path:
-// weights[i] = prod_{j>i} |A_j|, so phi(t) = sum_i t[i]*weights[i]. The
-// returned slice is owned by the schema and must not be modified. ok is
-// false when the space exceeds 64 bits.
-func (s *Schema) FlatWeights() (weights []uint64, ok bool) {
-	return s.flatWeights, s.flat
-}
+// Limbs returns the schema's limb layout: how φ is held as machine
+// words. The layout is owned by the schema and must not be modified.
+func (s *Schema) Limbs() *Limbs { return &s.limbs }
 
 // String renders the schema compactly, e.g. "(dept:8, job:16, years:64)".
 func (s *Schema) String() string {

@@ -156,27 +156,25 @@ type GroupJSON struct {
 
 // StatsJSON is table.QueryStats on the wire.
 type StatsJSON struct {
-	Strategy       string `json:"strategy"`
-	BlocksRead     int    `json:"blocks_read"`
-	CacheHits      int    `json:"cache_hits"`
-	BlocksPruned   int    `json:"blocks_pruned"`
-	PartialDecodes int    `json:"partial_decodes"`
-	Matches        int    `json:"matches"`
-	// Columnar batch accounting; zero (and omitted) on the tuple path.
+	Strategy     string `json:"strategy"`
+	BlocksRead   int    `json:"blocks_read"`
+	CacheHits    int    `json:"cache_hits"`
+	BlocksPruned int    `json:"blocks_pruned"`
+	Matches      int    `json:"matches"`
+	// φ-slab accounting: blocks decoded and the rows they held.
 	BatchBlocks int `json:"batch_blocks,omitempty"`
 	SlabRows    int `json:"slab_rows,omitempty"`
 }
 
 func statsJSON(qs table.QueryStats) *StatsJSON {
 	return &StatsJSON{
-		Strategy:       qs.Strategy.String(),
-		BlocksRead:     qs.BlocksRead,
-		CacheHits:      qs.CacheHits,
-		BlocksPruned:   qs.BlocksPruned,
-		PartialDecodes: qs.PartialDecodes,
-		Matches:        qs.Matches,
-		BatchBlocks:    qs.BatchBlocks,
-		SlabRows:       qs.SlabRows,
+		Strategy:     qs.Strategy.String(),
+		BlocksRead:   qs.BlocksRead,
+		CacheHits:    qs.CacheHits,
+		BlocksPruned: qs.BlocksPruned,
+		Matches:      qs.Matches,
+		BatchBlocks:  qs.BatchBlocks,
+		SlabRows:     qs.SlabRows,
 	}
 }
 

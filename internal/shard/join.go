@@ -9,27 +9,20 @@ import (
 
 // MergeJoinEach streams the equi-join db ⋈_{A1=A1} other on both
 // databases' clustering attribute. φ-range shards are disjoint and
-// catalog-ordered, so chaining each database's per-shard batch streams
+// catalog-ordered, so chaining each database's per-shard slab streams
 // in shard order yields one globally φ-ordered stream per side; the two
-// chains merge in φ-space exactly like the single-table batch join
-// (raw φ/w0 key compares, fence-level seeks on the lagging side, φ⁻¹
+// chains merge in φ-space exactly like the single-table merge join
+// (raw limb-0 key compares, fence-level seeks on the lagging side, φ⁻¹
 // only for rows that join). A seek raised while one shard drains still
 // prunes the next shard's prefix, so sparse keys skip whole blocks in
 // every later shard. Emitted tuples are safe to retain; emit returning
-// false stops the join. Both schemas must be flat (the batch-mode
-// requirement): a non-flat schema fails with exec.ErrNotFlat.
+// false stops the join.
 func (db *DB) MergeJoinEach(ctx context.Context, other *DB, emit func(table.JoinRow) bool) (table.JoinStats, error) {
 	var stats table.JoinStats
 	db.queries.Inc()
-	lits, err := db.batchIterators(ctx)
-	if err != nil {
-		return stats, err
-	}
+	lits := db.batchIterators(ctx)
 	defer releaseAll(lits)
-	rits, err := other.batchIterators(ctx)
-	if err != nil {
-		return stats, err
-	}
+	rits := other.batchIterators(ctx)
 	defer releaseAll(rits)
 	matches, err := table.JoinPhiStreams(chain(lits), chain(rits), db.schema, other.schema, emit)
 	stats.Matches = matches
@@ -65,18 +58,13 @@ func (db *DB) MergeJoin(ctx context.Context, other *DB) ([]table.JoinRow, table.
 }
 
 // batchIterators opens one pinned batch iterator per shard, in catalog
-// order. On any failure the already-opened iterators are released.
-func (db *DB) batchIterators(ctx context.Context) ([]*exec.BatchIterator, error) {
+// order.
+func (db *DB) batchIterators(ctx context.Context) []*exec.BatchIterator {
 	its := make([]*exec.BatchIterator, 0, len(db.shards))
 	for _, sh := range db.shards {
-		it, err := sh.BatchIterator(ctx)
-		if err != nil {
-			releaseAll(its)
-			return nil, err
-		}
-		its = append(its, it)
+		its = append(its, sh.BatchIterator(ctx))
 	}
-	return its, nil
+	return its
 }
 
 // chain concatenates per-shard iterators into one φ-ordered stream.

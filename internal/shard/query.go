@@ -38,8 +38,8 @@ func (db *DB) bounds(attr int, lo, hi uint64) (uint64, uint64) {
 }
 
 // scans builds the per-shard ShardScan list for a range predicate, each
-// Run streaming through the shard's own planner (fence pruning, partial
-// decodes, secondary indexes) and depositing its QueryStats in stats[i].
+// Run streaming through the shard's own planner (fence pruning and
+// secondary indexes) and depositing its QueryStats in stats[i].
 func (db *DB) scans(attr int, lo, hi uint64, stats []table.QueryStats) []exec.ShardScan {
 	out := make([]exec.ShardScan, len(db.shards))
 	for i := range db.shards {
@@ -73,7 +73,6 @@ func fold(per []table.QueryStats, sc exec.ScatterStats, live []int) Stats {
 		st.BlocksRead += qs.BlocksRead
 		st.CacheHits += qs.CacheHits
 		st.BlocksPruned += qs.BlocksPruned
-		st.PartialDecodes += qs.PartialDecodes
 		st.Matches += qs.Matches
 	}
 	return st

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/big"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/relation"
 )
 
-// batchTestCodecs is every block codec; the batch path must be
-// byte-identical to the tuple path under each.
+// batchTestCodecs is every block codec; the slab kernels must match the
+// tuple folds under each.
 var batchTestCodecs = []struct {
 	name  string
 	codec core.Codec
@@ -24,142 +25,176 @@ var batchTestCodecs = []struct {
 	{"packed", core.CodecPacked},
 }
 
-// newBatchPair loads the same tuples into two tables of the given codec:
-// one on the default (batch) path and one opted out via WithBatch(false)
-// — the tuple-path differential oracle.
-func newBatchPair(t *testing.T, codec core.Codec, tuples []relation.Tuple) (batch, oracle *Table) {
+// wideTestSchema is testSchema with a 2^62-value last attribute: a 2^81
+// space, so φ takes two limbs. randomTuples are valid in both schemas.
+func wideTestSchema(t testing.TB) *relation.Schema {
 	t.Helper()
-	s := testSchema(t)
-	mk := func(opts ...Option) *Table {
-		all := append([]Option{WithCodec(codec), WithPageSize(512)}, opts...)
-		tb, err := Create(s, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
-			t.Fatal(err)
-		}
-		return tb
-	}
-	return mk(), mk(WithBatch(false))
+	return relation.MustSchema(
+		relation.Domain{Name: "dept", Size: 8},
+		relation.Domain{Name: "job", Size: 16},
+		relation.Domain{Name: "years", Size: 64},
+		relation.Domain{Name: "hours", Size: 64},
+		relation.Domain{Name: "empno", Size: 1 << 62},
+	)
 }
 
-// TestBatchAggregatesMatchTuplePath pins every batch aggregate kernel —
+// newCodecTable loads tuples into a table of schema s with the given
+// codec.
+func newCodecTable(t *testing.T, s *relation.Schema, codec core.Codec, tuples []relation.Tuple) *Table {
+	t.Helper()
+	tb, err := Create(s, WithCodec(codec), WithPageSize(512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.BulkLoadContext(context.Background(), tuples); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// tupleGroupBy is the tuple-at-a-time reference for GroupByContext: the
+// loaded tuples filtered on lo <= A_attr <= hi, bucketed, and sorted.
+func tupleGroupBy(tuples []relation.Tuple, attr int, lo, hi uint64, groupAttr, aggAttr int) []GroupResult {
+	groups := map[uint64]*AggregateResult{}
+	for _, tu := range tuples {
+		if tu[attr] < lo || tu[attr] > hi {
+			continue
+		}
+		g := groups[tu[groupAttr]]
+		if g == nil {
+			g = &AggregateResult{Min: ^uint64(0)}
+			groups[tu[groupAttr]] = g
+		}
+		g.add(tu[aggAttr])
+	}
+	var out []GroupResult
+	for v, g := range groups {
+		out = append(out, GroupResult{Value: v, Agg: *g})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	return out
+}
+
+// TestBatchAggregatesMatchTuplePath pins every slab aggregate kernel —
 // count, aggregate, group-by (clustered and unclustered keys), histogram
-// — to the tuple path, per codec, and cross-checks one aggregate against
-// a big.Int φ-digit reference so both paths are anchored to the paper's
-// arithmetic, not just to each other.
+// — to a tuple-at-a-time fold over the loaded tuples, per codec, on a
+// one-limb and a two-limb schema, and cross-checks one aggregate against
+// a big.Int φ-digit reference so the kernels are anchored to the paper's
+// arithmetic.
 func TestBatchAggregatesMatchTuplePath(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 2000, 42)
 	for _, tc := range batchTestCodecs {
 		t.Run(tc.name, func(t *testing.T) {
-			batch, oracle := newBatchPair(t, tc.codec, tuples)
-			ranges := []struct {
-				attr   int
-				lo, hi uint64
-			}{
-				{0, 0, 7},  // full domain
-				{0, 2, 5},  // clustered bound
-				{0, 3, 3},  // point
-				{1, 4, 11}, // residual attribute
-				{4, 100, 3000},
-			}
-			for _, rg := range ranges {
-				bn, bst, err := batch.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
-				if err != nil {
-					t.Fatal(err)
+			for _, s := range []*relation.Schema{testSchema(t), wideTestSchema(t)} {
+				tb := newCodecTable(t, s, tc.codec, tuples)
+				ranges := []struct {
+					attr   int
+					lo, hi uint64
+				}{
+					{0, 0, 7},  // full domain
+					{0, 2, 5},  // clustered bound
+					{0, 3, 3},  // point
+					{1, 4, 11}, // residual attribute
+					{4, 100, 3000},
 				}
-				on, _, err := oracle.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bn != on {
-					t.Fatalf("CountRange(%v): batch %d, tuple %d", rg, bn, on)
-				}
-				if bst.BatchBlocks == 0 && bn > 0 {
-					t.Fatalf("CountRange(%v): batch path did not run (BatchBlocks=0)", rg)
-				}
-				for agg := 0; agg < 5; agg++ {
-					br, _, err := batch.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
+				for _, rg := range ranges {
+					var match []relation.Tuple
+					for _, tu := range tuples {
+						if tu[rg.attr] >= rg.lo && tu[rg.attr] <= rg.hi {
+							match = append(match, tu)
+						}
+					}
+					n, st, err := tb.CountRangeContext(ctx, rg.attr, rg.lo, rg.hi)
 					if err != nil {
 						t.Fatal(err)
 					}
-					or, _, err := oracle.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
+					if n != len(match) {
+						t.Fatalf("%v CountRange(%v): %d, tuple fold %d", s, rg, n, len(match))
+					}
+					if st.BatchBlocks == 0 && n > 0 {
+						t.Fatalf("%v CountRange(%v): no slab decoded (BatchBlocks=0)", s, rg)
+					}
+					for agg := 0; agg < 5; agg++ {
+						got, _, err := tb.AggregateRangeContext(ctx, rg.attr, rg.lo, rg.hi, agg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := AggregateResult{Min: ^uint64(0)}
+						for _, tu := range match {
+							want.add(tu[agg])
+						}
+						if want.Count == 0 {
+							want.Min = 0
+						}
+						if got != want {
+							t.Fatalf("%v AggregateRange(%v, agg=%d): %+v, tuple fold %+v", s, rg, agg, got, want)
+						}
+					}
+					for _, ga := range []int{0, 1, 2} {
+						got, _, err := tb.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := tupleGroupBy(tuples, rg.attr, rg.lo, rg.hi, ga, 3); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%v GroupBy(%v, group=%d): %+v, tuple fold %+v", s, rg, ga, got, want)
+						}
+					}
+				}
+				for attr := 0; attr < 4; attr++ {
+					got, _, err := tb.HistogramContext(ctx, attr, 8)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if br != or {
-						t.Fatalf("AggregateRange(%v, agg=%d): batch %+v, tuple %+v", rg, agg, br, or)
+					domain := s.Domain(attr).Size
+					width := (domain + 7) / 8
+					want := make([]int, 8)
+					for _, tu := range tuples {
+						want[min(int(tu[attr]/width), 7)]++
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v Histogram(attr=%d): %v, tuple fold %v", s, attr, got, want)
 					}
 				}
-				for _, ga := range []int{0, 1, 2} {
-					bg, _, err := batch.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					og, _, err := oracle.GroupByContext(ctx, rg.attr, rg.lo, rg.hi, ga, 3)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(bg, og) {
-						t.Fatalf("GroupBy(%v, group=%d): batch %+v, tuple %+v", rg, ga, bg, og)
-					}
-				}
-			}
-			for attr := 0; attr < 5; attr++ {
-				bh, _, err := batch.HistogramContext(ctx, attr, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oh, _, err := oracle.HistogramContext(ctx, attr, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(bh, oh) {
-					t.Fatalf("Histogram(attr=%d): batch %v, tuple %v", attr, bh, oh)
-				}
-			}
 
-			// Anchor: SUM over attribute 2 for 2<=A1<=5 recomputed through
-			// arbitrary-precision φ digits straight off the loaded tuples.
-			s := batch.Schema()
-			want := big.NewInt(0)
-			wantCount := 0
-			for _, tu := range tuples {
-				if tu[0] < 2 || tu[0] > 5 {
-					continue
+				// Anchor: SUM over attribute 2 for 2<=A1<=5 recomputed through
+				// arbitrary-precision φ digits straight off the loaded tuples.
+				want := big.NewInt(0)
+				wantCount := 0
+				for _, tu := range tuples {
+					if tu[0] < 2 || tu[0] > 5 {
+						continue
+					}
+					digit := ordinal.Phi(s, tu) // big.Int φ
+					for a := s.NumAttrs() - 1; a > 2; a-- {
+						digit.Div(digit, new(big.Int).SetUint64(s.Domain(a).Size))
+					}
+					digit.Mod(digit, new(big.Int).SetUint64(s.Domain(2).Size))
+					want.Add(want, digit)
+					wantCount++
 				}
-				phi := ordinal.Phi(s, tu) // big.Int φ
-				digit := new(big.Int).Set(phi)
-				for a := s.NumAttrs() - 1; a > 2; a-- {
-					digit.Div(digit, new(big.Int).SetUint64(s.Domain(a).Size))
+				got, _, err := tb.AggregateRangeContext(ctx, 0, 2, 5, 2)
+				if err != nil {
+					t.Fatal(err)
 				}
-				digit.Mod(digit, new(big.Int).SetUint64(s.Domain(2).Size))
-				want.Add(want, digit)
-				wantCount++
-			}
-			got, _, err := batch.AggregateRangeContext(ctx, 0, 2, 5, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Sum != want.Uint64() || got.Count != wantCount {
-				t.Fatalf("big.Int anchor: batch Sum=%d Count=%d, reference Sum=%s Count=%d",
-					got.Sum, got.Count, want, wantCount)
+				if got.Sum != want.Uint64() || got.Count != wantCount {
+					t.Fatalf("%v big.Int anchor: Sum=%d Count=%d, reference Sum=%s Count=%d",
+						s, got.Sum, got.Count, want, wantCount)
+				}
 			}
 		})
 	}
 }
 
-// TestMergeJoinBatchMatchesTuples pins the φ-space merge join to the
-// tuple-at-a-time merge join, per codec: identical rows in identical
-// order, identical match counts, and the batch run must actually take
-// the columnar path and prune on sparse keys.
+// TestMergeJoinBatchMatchesTuples pins the φ-space merge join to a
+// tuple-at-a-time nested-loop join over the loaded tuples, per codec and
+// on a one-limb and a two-limb schema: identical rows in identical
+// order.
 func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 	ctx := context.Background()
 	left := randomTuples(t, 1500, 7)
 	// Sparse right side: only every 4th dept key exists, so the left run
-	// has long stretches the batch join should seek over.
+	// has long stretches the join should seek over.
 	right := make([]relation.Tuple, 0, 400)
 	for _, tu := range randomTuples(t, 400, 8) {
 		tu[0] &^= 3
@@ -167,30 +202,31 @@ func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 	}
 	for _, tc := range batchTestCodecs {
 		t.Run(tc.name, func(t *testing.T) {
-			lb, lo := newBatchPair(t, tc.codec, left)
-			rb, ro := newBatchPair(t, tc.codec, right)
-			got, gst, err := MergeJoinContext(ctx, lb, rb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wst, err := MergeJoinContext(ctx, lo, ro)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gst.BatchBlocks == 0 {
-				t.Fatal("batch join did not take the columnar path")
-			}
-			if wst.BatchBlocks != 0 {
-				t.Fatal("oracle join took the columnar path")
-			}
-			if gst.Matches != wst.Matches || len(got) != len(want) {
-				t.Fatalf("matches: batch %d (%d rows), tuple %d (%d rows)",
-					gst.Matches, len(got), wst.Matches, len(want))
-			}
-			for i := range got {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("row %d: batch %v⋈%v, tuple %v⋈%v",
-						i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
+			for _, s := range []*relation.Schema{testSchema(t), wideTestSchema(t)} {
+				sl := append([]relation.Tuple(nil), left...)
+				sr := append([]relation.Tuple(nil), right...)
+				s.SortTuples(sl)
+				s.SortTuples(sr)
+				var want []JoinRow
+				for _, l := range sl {
+					for _, r := range sr {
+						if l[0] == r[0] {
+							want = append(want, JoinRow{Left: l, Right: r})
+						}
+					}
+				}
+				got, st, err := MergeJoinContext(ctx, newCodecTable(t, s, tc.codec, left), newCodecTable(t, s, tc.codec, right))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Matches != len(want) || len(got) != len(want) {
+					t.Fatalf("%v matches: %d (%d rows), nested loop %d", s, st.Matches, len(got), len(want))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("%v row %d: %v⋈%v, nested loop %v⋈%v",
+							s, i, got[i].Left, got[i].Right, want[i].Left, want[i].Right)
+					}
 				}
 			}
 		})
@@ -202,8 +238,8 @@ func TestMergeJoinBatchMatchesTuples(t *testing.T) {
 func TestMergeJoinBatchEarlyStop(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 800, 11)
-	lb, _ := newBatchPair(t, core.CodecAVQ, tuples)
-	rb, _ := newBatchPair(t, core.CodecAVQ, tuples)
+	lb := newCodecTable(t, testSchema(t), core.CodecAVQ, tuples)
+	rb := newCodecTable(t, testSchema(t), core.CodecAVQ, tuples)
 	seen := 0
 	st, err := MergeJoinEachContext(ctx, lb, rb, func(JoinRow) bool {
 		seen++
@@ -223,8 +259,8 @@ func TestMergeJoinBatchEarlyStop(t *testing.T) {
 func TestMergeJoinEmittedRowsSafeToRetain(t *testing.T) {
 	ctx := context.Background()
 	tuples := randomTuples(t, 600, 13)
-	lb, _ := newBatchPair(t, core.CodecPacked, tuples)
-	rb, _ := newBatchPair(t, core.CodecPacked, tuples)
+	lb := newCodecTable(t, wideTestSchema(t), core.CodecPacked, tuples)
+	rb := newCodecTable(t, wideTestSchema(t), core.CodecPacked, tuples)
 	var rows []JoinRow
 	if _, err := MergeJoinEachContext(ctx, lb, rb, func(r JoinRow) bool {
 		rows = append(rows, r)
@@ -249,8 +285,8 @@ func TestHashJoinEachStreamsAndStops(t *testing.T) {
 	ctx := context.Background()
 	left := randomTuples(t, 700, 17)
 	right := randomTuples(t, 300, 19)
-	lt, _ := newBatchPair(t, core.CodecAVQ, left)
-	rt, _ := newBatchPair(t, core.CodecAVQ, right)
+	lt := newCodecTable(t, testSchema(t), core.CodecAVQ, left)
+	rt := newCodecTable(t, wideTestSchema(t), core.CodecAVQ, right)
 	want, wst, err := HashJoinContext(ctx, lt, rt, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +321,10 @@ func TestHashJoinEachStreamsAndStops(t *testing.T) {
 	}
 }
 
-// TestBatchCountAllocsBounded keeps the whole table-level batch count —
-// plan, snapshot, batch pass, stats fold — within a small allocation
-// budget once the decoded-block cache is warm. The kernel itself must
-// not allocate; the budget covers plan/span scaffolding only.
+// TestBatchCountAllocsBounded keeps the whole table-level count — plan,
+// snapshot, slab pass, stats fold — within a small allocation budget
+// once the decoded-block cache is warm. The kernel itself must not
+// allocate; the budget covers plan/span scaffolding only.
 func TestBatchCountAllocsBounded(t *testing.T) {
 	tuples := randomTuples(t, 2000, 29)
 	s := testSchema(t)
@@ -300,11 +336,8 @@ func TestBatchCountAllocsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Warm the decoded-block cache (tuple path populates it) and the
-	// arena pool (batch pass returns its arena sized for a full block).
-	if _, _, err := tb.SelectRangeContext(ctx, 0, 0, 7); err != nil {
-		t.Fatal(err)
-	}
+	// Warm the decoded-block cache and the arena pool (the pass returns
+	// its arena sized for a full block).
 	if _, _, err := tb.CountRangeContext(ctx, 0, 0, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -205,10 +205,7 @@ func TestSyncSnapshotConsistency(t *testing.T) {
 			}
 		}},
 		{"BatchIterator", func() (int, error) {
-			it, err := tb.BatchIterator(ctx)
-			if err != nil {
-				return 0, err
-			}
+			it := tb.BatchIterator(ctx)
 			defer it.Release()
 			c := 0
 			for {

@@ -126,30 +126,17 @@ func (t *Table) HistogramContext(ctx context.Context, attr, buckets int) ([]int,
 	r := t.planScan()
 	t.mu.RUnlock()
 	r.op = "histogram"
-	if r.batch {
-		// Bucket straight off the φ digits.
-		w, _ := t.schema.FlatWeights()
-		dig := core.NewDigitExtractor(w[attr], domain)
-		stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-			for _, phi := range phis {
-				b := int(dig.Digit(phi) / width)
-				if b >= buckets {
-					b = buckets - 1
-				}
-				counts[b]++
+	// Bucket straight off the φ digits.
+	dig := core.NewDigitExtractor(t.schema, attr)
+	k := t.schema.Limbs().K
+	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
+		for i := dig.Limb; i < len(phis); i += k {
+			b := int(dig.Digit(phis[i]) / width)
+			if b >= buckets {
+				b = buckets - 1
 			}
-			return true
-		})
-		return counts, stats, err
-	}
-	// Bucketing reads one attribute per tuple and retains nothing.
-	r.plan.Transient = true
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		b := int(tu[attr] / width)
-		if b >= buckets {
-			b = buckets - 1
+			counts[b]++
 		}
-		counts[b]++
 		return true
 	})
 	return counts, stats, err

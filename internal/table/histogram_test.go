@@ -147,7 +147,7 @@ func TestEstimateSelectivityMatchesData(t *testing.T) {
 		}
 		actual := 0
 		for _, tu := range tuples {
-			if p.matches(tu) {
+			if tu[p.Attr] >= p.Lo && tu[p.Attr] <= p.Hi {
 				actual++
 			}
 		}

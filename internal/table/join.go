@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/ordinal"
 	"repro/internal/relation"
@@ -24,11 +25,10 @@ type JoinStats struct {
 	RightCacheHits int
 	Matches        int
 	// BlocksPruned counts blocks skipped unread on both sides by
-	// fence-level seeks (the batch merge join's sparse-key skipping).
+	// fence-level seeks (the merge join's sparse-key skipping).
 	BlocksPruned int
-	// BatchBlocks and SlabRows account the columnar path: blocks decoded
-	// as φ-ordinal slabs and the rows they carried, summed over both
-	// sides. Zero on the tuple-at-a-time path.
+	// BatchBlocks and SlabRows account blocks decoded as φ slabs and the
+	// rows they carried, summed over both sides.
 	BatchBlocks int
 	SlabRows    int
 }
@@ -87,23 +87,42 @@ func HashJoinEachContext(ctx context.Context, left, right *Table, lattr, rattr i
 	if err != nil {
 		return stats, err
 	}
+	// The probe side stays in φ slabs: the join digit comes straight off
+	// its limb, and a row is inverted into a tuple only when it matches.
+	ps := probe.schema
+	dig := core.NewDigitExtractor(ps, pattr)
+	k := ps.Limbs().K
+	var invErr error
 	probeSnap := probe.snapshot()
-	probeStats, err := exec.RunContext(ctx, probeSnap, exec.Plan{}, func(tu relation.Tuple) bool {
-		for _, match := range ht[tu[pattr]] {
-			var row JoinRow
-			if buildLeft {
-				row = JoinRow{Left: match, Right: tu}
-			} else {
-				row = JoinRow{Left: tu, Right: match}
+	probeStats, err := exec.RunBatch(ctx, probeSnap, exec.Plan{}, func(phis []uint64) bool {
+		for i := 0; i < len(phis); i += k {
+			matches := ht[dig.Digit(phis[i+dig.Limb])]
+			if len(matches) == 0 {
+				continue
 			}
-			stats.Matches++
-			if !emit(row) {
+			var tu relation.Tuple
+			if tu, invErr = ordinal.PhiInverseLimbs(ps, make(relation.Tuple, ps.NumAttrs()), phis[i:i+k]); invErr != nil {
 				return false
+			}
+			for _, match := range matches {
+				var row JoinRow
+				if buildLeft {
+					row = JoinRow{Left: match, Right: tu}
+				} else {
+					row = JoinRow{Left: tu, Right: match}
+				}
+				stats.Matches++
+				if !emit(row) {
+					return false
+				}
 			}
 		}
 		return true
 	})
 	probeSnap.Release()
+	if err == nil {
+		err = invErr
+	}
 	if err != nil {
 		return stats, err
 	}
@@ -138,33 +157,18 @@ func MergeJoinContext(ctx context.Context, left, right *Table) ([]JoinRow, JoinS
 
 // MergeJoinEachContext is the streaming form of MergeJoinContext: join
 // rows reach emit one key group at a time and only the current groups are
-// held in memory. When both schemas are flat (and neither table opted out
-// via DisableBatch) the join runs in φ-space: each side streams
-// per-block ordinal slabs, keys are compared as raw φ/w0 digits, the
-// lagging side skips ahead over fence-pruned blocks, and tuples are
-// materialized (φ⁻¹) only for rows that actually join. Emitted tuples are
-// safe to retain. emit returning false stops the join early.
+// held in memory. The join runs in φ-space: each side streams per-block
+// φ slabs, keys are compared as raw limb-0 digits, the lagging side skips
+// ahead over fence-pruned blocks, and tuples are materialized (φ⁻¹) only
+// for rows that actually join. Emitted tuples are safe to retain. emit
+// returning false stops the join early.
 func MergeJoinEachContext(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
 	sp := left.opts.Obs.StartOp("merge_join")
 	defer sp.End()
-	if left.batchable() && right.batchable() {
-		return mergeJoinBatch(ctx, left, right, emit)
-	}
-	return mergeJoinTuples(ctx, left, right, emit)
-}
-
-// mergeJoinBatch is the φ-space merge join between two tables.
-func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
 	var stats JoinStats
-	li, err := exec.NewBatchIterator(ctx, left.snapshot())
-	if err != nil {
-		return stats, err
-	}
+	li := left.BatchIterator(ctx)
 	defer li.Release()
-	ri, err := exec.NewBatchIterator(ctx, right.snapshot())
-	if err != nil {
-		return stats, err
-	}
+	ri := right.BatchIterator(ctx)
 	defer ri.Release()
 	matches, err := JoinPhiStreams(li, ri, left.schema, right.schema, emit)
 	stats.Matches = matches
@@ -180,21 +184,13 @@ func mergeJoinBatch(ctx context.Context, left, right *Table, emit func(JoinRow) 
 // attribute and materializes join rows only for matching groups: one
 // fresh tuple per distinct group row via φ⁻¹ (shared across its cross-
 // product pairs, so emitted rows are safe to retain), never one per pair.
-// Both schemas must be flat. It returns the number of rows emitted. The
-// shard layer joins chained per-shard streams through it.
+// It returns the number of rows emitted. The shard layer joins chained
+// per-shard streams through it.
 func JoinPhiStreams(ls, rs exec.PhiStream, lsch, rsch *relation.Schema, emit func(JoinRow) bool) (int, error) {
-	lw, ok := lsch.FlatWeights()
-	if !ok {
-		return 0, exec.ErrNotFlat
-	}
-	rw, ok := rsch.FlatWeights()
-	if !ok {
-		return 0, exec.ErrNotFlat
-	}
 	matches := 0
 	var matErr error
 	var ltup, rtup []relation.Tuple
-	err := exec.MergeJoinPhis(ls, rs, lw[0], rw[0], func(_ uint64, lg, rg []uint64) bool {
+	err := exec.MergeJoinPhis(ls, rs, lsch, rsch, func(_ uint64, lg, rg []uint64) bool {
 		if ltup, matErr = materializeGroup(lsch, lg, ltup[:0]); matErr != nil {
 			return false
 		}
@@ -217,123 +213,17 @@ func JoinPhiStreams(ls, rs exec.PhiStream, lsch, rsch *relation.Schema, emit fun
 	return matches, err
 }
 
-// materializeGroup inverts a group's ordinals into fresh tuples, appending
-// to dst (whose header is reused across groups; the tuples are not).
+// materializeGroup inverts a group's stride-K φ rows into fresh tuples,
+// appending to dst (whose header is reused across groups; the tuples are
+// not).
 func materializeGroup(s *relation.Schema, phis []uint64, dst []relation.Tuple) ([]relation.Tuple, error) {
-	for _, phi := range phis {
-		tu, err := ordinal.PhiInverseU64(s, make(relation.Tuple, s.NumAttrs()), phi)
+	k := s.Limbs().K
+	for i := 0; i < len(phis); i += k {
+		tu, err := ordinal.PhiInverseLimbs(s, make(relation.Tuple, s.NumAttrs()), phis[i:i+k])
 		if err != nil {
 			return dst, err
 		}
 		dst = append(dst, tu)
 	}
 	return dst, nil
-}
-
-// mergeJoinTuples is the tuple-at-a-time merge join — the differential
-// oracle the batch path is pinned against, and the fallback for non-flat
-// schemas.
-func mergeJoinTuples(ctx context.Context, left, right *Table, emit func(JoinRow) bool) (JoinStats, error) {
-	var stats JoinStats
-	lc := newClusterCursor(ctx, left)
-	defer lc.close()
-	rc := newClusterCursor(ctx, right)
-	defer rc.close()
-	lg, err := lc.nextGroup()
-	if err != nil {
-		return stats, err
-	}
-	rg, err := rc.nextGroup()
-	if err != nil {
-		return stats, err
-	}
-loop:
-	for lg != nil && rg != nil {
-		switch {
-		case lg.key < rg.key:
-			if lg, err = lc.nextGroup(); err != nil {
-				return stats, err
-			}
-		case lg.key > rg.key:
-			if rg, err = rc.nextGroup(); err != nil {
-				return stats, err
-			}
-		default:
-			for _, l := range lg.rows {
-				for _, r := range rg.rows {
-					stats.Matches++
-					if !emit(JoinRow{Left: l, Right: r}) {
-						break loop
-					}
-				}
-			}
-			if lg, err = lc.nextGroup(); err != nil {
-				return stats, err
-			}
-			if rg, err = rc.nextGroup(); err != nil {
-				return stats, err
-			}
-		}
-	}
-	stats.LeftBlocks = lc.it.Stats.BlocksRead
-	stats.LeftCacheHits = lc.it.Stats.CacheHits
-	stats.RightBlocks = rc.it.Stats.BlocksRead
-	stats.RightCacheHits = rc.it.Stats.CacheHits
-	return stats, nil
-}
-
-// clusterCursor streams a table's tuples grouped by their clustering
-// attribute value, one executor iterator underneath.
-type clusterCursor struct {
-	it      *exec.Iterator
-	pending relation.Tuple // pushed back by nextGroup
-}
-
-type keyGroup struct {
-	key  uint64
-	rows []relation.Tuple
-}
-
-func newClusterCursor(ctx context.Context, t *Table) *clusterCursor {
-	return &clusterCursor{it: exec.NewIteratorContext(ctx, t.snapshot())}
-}
-
-func (c *clusterCursor) close() { c.it.Release() }
-
-// next returns the next tuple in phi order, or nil at the end.
-func (c *clusterCursor) next() (relation.Tuple, error) {
-	if c.pending != nil {
-		tu := c.pending
-		c.pending = nil
-		return tu, nil
-	}
-	tu, ok, err := c.it.Next()
-	if err != nil || !ok {
-		return nil, err
-	}
-	return tu, nil
-}
-
-// nextGroup returns the run of tuples sharing the next clustering value,
-// or nil at the end.
-func (c *clusterCursor) nextGroup() (*keyGroup, error) {
-	tu, err := c.next()
-	if err != nil || tu == nil {
-		return nil, err
-	}
-	g := &keyGroup{key: tu[0], rows: []relation.Tuple{tu}}
-	for {
-		nxt, err := c.next()
-		if err != nil {
-			return nil, err
-		}
-		if nxt == nil {
-			return g, nil
-		}
-		if nxt[0] != g.key {
-			c.pending = nxt
-			return g, nil
-		}
-		g.rows = append(g.rows, nxt)
-	}
 }

@@ -35,13 +35,6 @@ func Resolve(opts []Option) Options {
 	return o
 }
 
-// WithBatch enables (true, the default on flat schemas) or disables
-// (false) the columnar batch execution path for aggregate reads and merge
-// joins. Non-flat schemas ignore it: they have no φ-slab representation.
-func WithBatch(on bool) Option {
-	return func(o *Options) { o.DisableBatch = !on }
-}
-
 // WithCodec selects the block representation (default core.CodecAVQ).
 func WithCodec(c core.Codec) Option {
 	return func(o *Options) { o.Codec = c }

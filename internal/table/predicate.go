@@ -21,11 +21,6 @@ func (p Predicate) String() string {
 	return fmt.Sprintf("%d<=A%d<=%d", p.Lo, p.Attr+1, p.Hi)
 }
 
-// matches reports whether tu satisfies the predicate.
-func (p Predicate) matches(tu relation.Tuple) bool {
-	return tu[p.Attr] >= p.Lo && tu[p.Attr] <= p.Hi
-}
-
 // selectivity estimates the fraction of a uniform domain the predicate
 // admits; the planner drives the conjunction through the most selective
 // indexed predicate.
@@ -171,6 +166,18 @@ type AggregateResult struct {
 	Max   uint64
 }
 
+// add folds one value into the aggregate.
+func (a *AggregateResult) add(v uint64) {
+	a.Count++
+	a.Sum += v
+	if v < a.Min {
+		a.Min = v
+	}
+	if v > a.Max {
+		a.Max = v
+	}
+}
+
 // AggregateRangeContext computes COUNT, SUM, MIN, and MAX of attribute
 // aggAttr over the rows matching lo <= A_attr <= hi. Min and Max are
 // meaningful only when Count > 0.
@@ -181,36 +188,19 @@ func (t *Table) AggregateRangeContext(ctx context.Context, attr int, lo, hi uint
 	if err != nil {
 		return AggregateResult{}, QueryStats{}, err
 	}
-	return aggregateDispatchCtx(ctx, r, aggAttr)
+	return aggregateRunCtx(ctx, r, t.schema, aggAttr)
 }
 
-// aggregateDispatchCtx runs a planned aggregate on whichever path the
-// plan selected.
-func aggregateDispatchCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	if r.batch && !r.empty {
-		return aggregateBatchCtx(ctx, r, r.snap.Schema(), aggAttr)
-	}
-	return aggregateRunCtx(ctx, r, aggAttr)
-}
-
-// aggregateBatchCtx is the aggregate fold on raw ordinals: the aggregated
-// attribute is extracted from each φ with one divide and one mod over the
-// cached FlatWeights divisor chain — no tuple is ever materialized.
-func aggregateBatchCtx(ctx context.Context, r queryRun, s *relation.Schema, aggAttr int) (AggregateResult, QueryStats, error) {
-	w, _ := s.FlatWeights()
-	agg := core.NewDigitExtractor(w[aggAttr], s.Domain(aggAttr).Size)
+// aggregateRunCtx is the aggregate fold on raw ordinals: the aggregated
+// attribute is extracted from the limb holding it with one divide and one
+// mod — no tuple is ever materialized.
+func aggregateRunCtx(ctx context.Context, r queryRun, s *relation.Schema, aggAttr int) (AggregateResult, QueryStats, error) {
+	agg := core.NewDigitExtractor(s, aggAttr)
+	k := s.Limbs().K
 	res := AggregateResult{Min: math.MaxUint64}
 	stats, err := r.runBatchCtx(ctx, func(phis []uint64) bool {
-		for _, phi := range phis {
-			v := agg.Digit(phi)
-			res.Count++
-			res.Sum += v
-			if v < res.Min {
-				res.Min = v
-			}
-			if v > res.Max {
-				res.Max = v
-			}
+		for i := agg.Limb; i < len(phis); i += k {
+			res.add(agg.Digit(phis[i]))
 		}
 		return true
 	})
@@ -227,30 +217,5 @@ func (t *Table) planAggregate(attr int, lo, hi uint64, aggAttr int) (queryRun, e
 	}
 	r, err := t.planRange(attr, lo, hi)
 	r.op = "aggregate"
-	// The aggregate fold reads attribute values and retains nothing, so the
-	// executor may recycle one arena across blocks.
-	r.plan.Transient = true
 	return r, err
-}
-
-// aggregateRunCtx executes a planned aggregate pass without
-// materializing rows.
-func aggregateRunCtx(ctx context.Context, r queryRun, aggAttr int) (AggregateResult, QueryStats, error) {
-	res := AggregateResult{Min: math.MaxUint64}
-	stats, err := r.runCtx(ctx, func(tu relation.Tuple) bool {
-		v := tu[aggAttr]
-		res.Count++
-		res.Sum += v
-		if v < res.Min {
-			res.Min = v
-		}
-		if v > res.Max {
-			res.Max = v
-		}
-		return true
-	})
-	if res.Count == 0 {
-		res.Min = 0
-	}
-	return res, stats, err
 }

@@ -51,18 +51,15 @@ const hashEnumLimit = 1024
 // (Section 5.3.3): the number of data blocks brought into memory. Blocks
 // served by the decoded-block cache are counted in CacheHits instead, so
 // N stays an I/O count; BlocksPruned counts blocks the executor skipped
-// on their φ-fence alone, and PartialDecodes counts boundary blocks where
-// only the qualifying span was decoded.
+// on their φ-fence alone.
 type QueryStats struct {
-	Strategy       Strategy
-	BlocksRead     int
-	CacheHits      int
-	BlocksPruned   int
-	PartialDecodes int
-	Matches        int
-	// BatchBlocks counts blocks the columnar batch path decoded as whole
-	// φ-ordinal slabs (zero on the tuple-at-a-time path); SlabRows is the
-	// total rows those slabs carried before predicate compaction.
+	Strategy     Strategy
+	BlocksRead   int
+	CacheHits    int
+	BlocksPruned int
+	Matches      int
+	// BatchBlocks counts blocks the executor decoded as φ slabs; SlabRows
+	// is the total rows those slabs carried before predicate compaction.
 	BatchBlocks int
 	SlabRows    int
 }
@@ -76,10 +73,6 @@ type queryRun struct {
 	plan  exec.Plan
 	snap  *blockstore.Snapshot
 	empty bool
-	// batch routes the pass through the columnar φ-slab executor; set at
-	// plan time when the schema is flat and the table has not opted out.
-	// Only operators whose kernels consume raw ordinals honour it.
-	batch bool
 
 	// op names the span recorded around the pass ("" records none); reg is
 	// the table's registry, captured at plan time so run needs no table.
@@ -87,10 +80,11 @@ type queryRun struct {
 	reg *obs.Registry
 }
 
-// runCtx executes the planned pass through the executor, releases the
-// snapshot, and folds the executor's accounting into QueryStats. The
-// executor observes cancellation at block boundaries, before the next
-// decode.
+// runCtx executes the planned pass for a tuple result: the executor
+// inverts only the qualifying rows, into tuples emit may retain. It
+// releases the snapshot and folds the executor's accounting into
+// QueryStats. The executor observes cancellation at block boundaries,
+// before the next decode.
 func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (QueryStats, error) {
 	if r.empty {
 		return r.stats, nil
@@ -107,10 +101,9 @@ func (r queryRun) runCtx(ctx context.Context, emit func(relation.Tuple) bool) (Q
 	return st, err
 }
 
-// runBatchCtx executes the planned pass through the columnar batch
-// executor: kernel receives each block's already-filtered φ-ordinal slab
-// (valid only for the duration of the call). The caller must have checked
-// r.batch.
+// runBatchCtx executes the planned pass for a kernel that consumes raw
+// ordinals: kernel receives each block's already-filtered φ slab (stride
+// Limbs().K, valid only for the duration of the call).
 func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bool) (QueryStats, error) {
 	if r.empty {
 		return r.stats, nil
@@ -123,7 +116,7 @@ func (r queryRun) runBatchCtx(ctx context.Context, kernel func(phis []uint64) bo
 	defer r.snap.Release()
 	es, err := exec.RunBatch(ctx, r.snap, r.plan, kernel)
 	st := foldExecStats(r.stats, es)
-	sp.Detailf("%s (batch): %d slabs, %d rows, %d pruned, %d matches",
+	sp.Detailf("%s: %d slabs, %d rows, %d pruned, %d matches",
 		st.Strategy, st.BatchBlocks, st.SlabRows, st.BlocksPruned, st.Matches)
 	return st, err
 }
@@ -133,7 +126,6 @@ func foldExecStats(st QueryStats, es exec.Stats) QueryStats {
 	st.BlocksRead = es.BlocksRead
 	st.CacheHits = es.CacheHits
 	st.BlocksPruned = es.BlocksPruned
-	st.PartialDecodes = es.PartialDecodes
 	st.Matches = es.Matches
 	st.BatchBlocks = es.BatchBlocks
 	st.SlabRows = es.SlabRows
@@ -182,7 +174,7 @@ func (t *Table) planRange(attr int, lo, hi uint64) (queryRun, error) {
 	if hi >= t.schema.Domain(attr).Size {
 		hi = t.schema.Domain(attr).Size - 1
 	}
-	r := queryRun{plan: exec.Plan{Preds: []exec.Pred{{Attr: attr, Lo: lo, Hi: hi}}}, op: "select", reg: t.opts.Obs, batch: t.batchable()}
+	r := queryRun{plan: exec.Plan{Preds: []exec.Pred{{Attr: attr, Lo: lo, Hi: hi}}}, op: "select", reg: t.opts.Obs}
 	switch {
 	case attr == 0:
 		r.stats.Strategy = StrategyClustered
@@ -205,7 +197,6 @@ func (t *Table) planScan() queryRun {
 		stats: QueryStats{Strategy: StrategyFullScan},
 		snap:  t.store.Snapshot(),
 		reg:   t.opts.Obs,
-		batch: t.batchable(),
 	}
 }
 
@@ -218,17 +209,6 @@ func (t *Table) snapshot() *blockstore.Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.store.Snapshot()
-}
-
-// batchable reports whether aggregate reads may use the columnar batch
-// path: the schema must be flat (φ fits a uint64) and the table must not
-// have opted out via DisableBatch.
-func (t *Table) batchable() bool {
-	if t.opts.DisableBatch {
-		return false
-	}
-	_, ok := t.schema.FlatSpace()
-	return ok
 }
 
 // candidateBlocks collects the distinct data blocks a secondary index maps
@@ -280,21 +260,9 @@ func (t *Table) CountRangeContext(ctx context.Context, attr int, lo, hi uint64) 
 	if err != nil {
 		return 0, QueryStats{}, err
 	}
-	return countRunCtx(ctx, r)
-}
-
-// countRunCtx executes a planned count on whichever path the plan
-// selected. The batch pass counts qualifying ordinals as it compacts each
-// slab, so its kernel has nothing left to do.
-func countRunCtx(ctx context.Context, r queryRun) (int, QueryStats, error) {
-	if r.batch && !r.empty {
-		stats, err := r.runBatchCtx(ctx, func([]uint64) bool { return true })
-		return stats.Matches, stats, err
-	}
-	// Counting never touches the tuples, so the executor may recycle one
-	// arena across blocks.
-	r.plan.Transient = true
-	stats, err := r.runCtx(ctx, func(relation.Tuple) bool { return true })
+	// The executor counts qualifying rows as it compacts each slab, so the
+	// kernel has nothing left to do.
+	stats, err := r.runBatchCtx(ctx, func([]uint64) bool { return true })
 	return stats.Matches, stats, err
 }
 

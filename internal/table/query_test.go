@@ -154,7 +154,7 @@ func TestSelectConjunction(t *testing.T) {
 	for _, tu := range tuples {
 		ok := true
 		for _, p := range preds {
-			if !p.matches(tu) {
+			if tu[p.Attr] < p.Lo || tu[p.Attr] > p.Hi {
 				ok = false
 				break
 			}

@@ -120,13 +120,6 @@ type Options struct {
 	// group commit — the naive baseline the wal benchmark measures
 	// against. Leave false outside benchmarks.
 	WALSyncEveryAppend bool
-	// DisableBatch keeps aggregate reads (CountRangeContext,
-	// AggregateRangeContext, GroupByContext, HistogramContext, merge joins)
-	// on the tuple-at-a-time path even when the schema is flat. The batch
-	// (columnar φ-slab) path is the default on flat schemas; differential
-	// tests and benchmarks set this to pit the two paths against each
-	// other.
-	DisableBatch bool
 }
 
 // AllAttrs returns 0..n-1, for indexing every attribute of a schema.

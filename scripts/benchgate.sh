@@ -4,17 +4,17 @@
 # Runs `avqbench -exp decode` (writing a fresh BENCH_decode.json) and
 # holds it against the committed baselines:
 #
-#   1. the experiment's own gates must pass: steady-state arena decode at
-#      0 allocs/op and the flat-ordinal span walk >= 25% faster than
-#      binary-search probing;
+#   1. the experiment's own gate must pass: steady-state arena tuple
+#      decode and φ slab decode at 0 allocs/op, on a one-limb and a
+#      four-limb schema;
 #   2. the macro workload (BulkLoad + CountRange, the same shape
 #      BENCH_obs.json measures) must not regress more than TOLERANCE_PCT
 #      against the committed BENCH_decode.json, nor against the
 #      uninstrumented baseline in BENCH_obs.json.
 #
 # Wall-clock numbers are noisy across hosts, so the tolerance is
-# deliberately generous (default 25%); the allocation and speedup gates
-# inside the experiment are the precise ones.
+# deliberately generous (default 25%); the allocation gate inside the
+# experiment is the precise one.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,7 +44,6 @@ go run ./cmd/avqbench -exp decode
 
 pass=$(jget BENCH_decode.json pass)
 zero=$(jget BENCH_decode.json zero_alloc_pass)
-flat=$(jget BENCH_decode.json flat_pass)
 new_load=$(jget BENCH_decode.json load_ms)
 new_count=$(jget BENCH_decode.json count_ms)
 
@@ -55,7 +54,7 @@ cp "$tmpdir/baseline.json" BENCH_decode.json
 
 fail=0
 if [ "$pass" != "true" ]; then
-    echo "benchgate: experiment gates failed (zero_alloc_pass=$zero flat_pass=$flat)" >&2
+    echo "benchgate: experiment gates failed (zero_alloc_pass=$zero)" >&2
     fail=1
 fi
 
@@ -185,12 +184,11 @@ fi
 
 echo "benchgate: PASS (serve p99 ${serve_p99}ms, admission overhead ${serve_adm}%, overload_pass=$serve_over drain_pass=$serve_drain)"
 
-# -- columnar batch execution gate -------------------------------------------
-# The join experiment carries its own absolute gates: the φ-space merge
-# join >= 3x the tuple-at-a-time join on the sparse-key workload, the
-# φ-prefix group-by >= 2x the tuple path, every codec's slab decode
-# kernel at 0 allocs/op, and the batch and 4-shard chained-stream results
-# byte-identical to the tuple path. All are ratios or exact comparisons
+# -- φ-slab execution gate ------------------------------------------------
+# The join experiment carries its own absolute gates: every codec's slab
+# decode kernel at 0 allocs/op on a one-limb and a four-limb schema, and
+# the single-table and 4-shard merge joins and the φ-prefix group-by
+# byte-identical to a decode-all-then-join oracle. Both are exact checks
 # on one host, so no cross-host baseline comparison is needed.
 if [ -f BENCH_join.json ]; then
     cp BENCH_join.json "$tmpdir/join-baseline.json"
@@ -200,10 +198,6 @@ echo "== benchgate: running avqbench -exp join"
 go run ./cmd/avqbench -exp join
 
 join_pass=$(jget BENCH_join.json pass)
-join_speedup=$(jget BENCH_join.json join_speedup)
-join_min=$(jget BENCH_join.json min_join_speedup)
-group_speedup=$(jget BENCH_join.json group_speedup)
-group_min=$(jget BENCH_join.json min_group_speedup)
 join_zero=$(jget BENCH_join.json zero_alloc_pass)
 join_diff=$(jget BENCH_join.json differential_pass)
 
@@ -212,8 +206,8 @@ if [ -f "$tmpdir/join-baseline.json" ]; then
 fi
 
 if [ "$join_pass" != "true" ]; then
-    echo "benchgate: batch execution gates failed (join ${join_speedup}x/${join_min}x, group ${group_speedup}x/${group_min}x, zero_alloc_pass=$join_zero differential_pass=$join_diff)" >&2
+    echo "benchgate: slab execution gates failed (zero_alloc_pass=$join_zero differential_pass=$join_diff)" >&2
     exit 1
 fi
 
-echo "benchgate: PASS (batch merge join ${join_speedup}x >= ${join_min}x, group-by ${group_speedup}x >= ${group_min}x, zero_alloc_pass=$join_zero differential_pass=$join_diff)"
+echo "benchgate: PASS (zero_alloc_pass=$join_zero differential_pass=$join_diff)"
