@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check test race lint lint-baseline build fmt bench-pruning bench-obs bench-decode bench-wal bench-shard bench-serve bench-join benchgate crash
+.PHONY: check test race lint lint-baseline build fmt avqbench bench-pruning bench-obs bench-decode bench-wal bench-shard bench-serve bench-join benchgate crash
 
 check:
 	sh scripts/check.sh
@@ -25,29 +25,20 @@ race:
 crash:
 	$(GO) test ./internal/wal -run 'TestKillEverySyscall|TestKillDuringRecovery' -count=1 -v
 
-bench-decode:
-	$(GO) run ./cmd/avqbench -exp decode
+# The bench targets run a built avqbench, not `go run`: only `go build`
+# stamps the VCS revision each result records as host.commit.
+avqbench:
+	$(GO) build -o bin/avqbench ./cmd/avqbench
 
-benchgate:
-	sh scripts/benchgate.sh
+# Each writes BENCH_<experiment>.json in the repository root.
+bench-pruning bench-obs bench-decode bench-wal bench-shard bench-serve bench-join: avqbench
+	bin/avqbench -exp $(@:bench-%=%)
 
-bench-pruning:
-	$(GO) run ./cmd/avqbench -exp pruning
-
-bench-obs:
-	$(GO) run ./cmd/avqbench -exp obs
-
-bench-wal:
-	$(GO) run ./cmd/avqbench -exp wal
-
-bench-shard:
-	$(GO) run ./cmd/avqbench -exp shard
-
-bench-serve:
-	$(GO) run ./cmd/avqbench -exp serve
-
-bench-join:
-	$(GO) run ./cmd/avqbench -exp join
+# Reruns decode, wal, shard, serve and join in process and checks every
+# gate plus the decode baselines against the committed BENCH files;
+# writes no file.
+benchgate: avqbench
+	bin/avqbench -exp gate
 
 lint:
 	$(GO) vet ./...

@@ -3,13 +3,16 @@ package main
 import (
 	"context"
 	"os"
+	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // TestAllExperimentsSmallScale drives every experiment at reduced scale;
 // the experiment correctness itself is covered in internal/experiments.
-// The pipeline experiment writes BENCH_pipeline.json, so the test runs in
-// a scratch directory.
+// The pipeline and obs experiments record BENCH_pipeline.json and
+// BENCH_obs.json, so the test runs in a scratch directory.
 func TestAllExperimentsSmallScale(t *testing.T) {
 	t.Chdir(t.TempDir())
 	for _, exp := range []string{"fig5.7", "timing", "fig5.8", "fig5.9", "ablation", "blocksize", "cpusweep", "updates", "pipeline", "obs"} {
@@ -17,11 +20,33 @@ func TestAllExperimentsSmallScale(t *testing.T) {
 			t.Fatalf("%s: %v", exp, err)
 		}
 	}
-	if _, err := os.Stat("BENCH_pipeline.json"); err != nil {
-		t.Fatalf("pipeline experiment did not write BENCH_pipeline.json: %v", err)
+	for _, name := range []string{"pipeline", "obs"} {
+		f, err := os.Open("BENCH_" + name + ".json")
+		if err != nil {
+			t.Fatalf("%s experiment did not record its result: %v", name, err)
+		}
+		e, err := experiments.DecodeEnvelope(f)
+		f.Close()
+		if err != nil || e.Experiment != name {
+			t.Fatalf("BENCH_%s.json is not a %s envelope: %v", name, name, err)
+		}
 	}
-	if _, err := os.Stat("BENCH_obs.json"); err != nil {
-		t.Fatalf("obs experiment did not write BENCH_obs.json: %v", err)
+}
+
+// TestGateNeedsBaselines runs `-exp gate` where no committed results
+// exist: it must fail on the missing baselines and write no file.
+func TestGateNeedsBaselines(t *testing.T) {
+	t.Chdir(t.TempDir())
+	err := run(context.Background(), "gate", 300, 1, 0, 7, 2)
+	if err == nil || !strings.Contains(err.Error(), "gates failed") {
+		t.Fatalf("gate without baselines: err = %v, want a gate failure", err)
+	}
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("gate wrote %d files", len(entries))
 	}
 }
 

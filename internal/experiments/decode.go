@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -19,7 +18,7 @@ import (
 // DecodeConfig parameterizes the decode-kernel experiment: the
 // zero-allocation arena tuple decode versus the allocating reference,
 // the φ slab decode the executor runs, and the same macro workload
-// RunObs times so the benchgate can compare across PRs.
+// RunObs times so the gate can hold it against the committed results.
 type DecodeConfig struct {
 	// Tuples is the macro relation size; default 100_000.
 	Tuples int
@@ -60,58 +59,24 @@ func (c *DecodeConfig) fillDefaults() {
 	}
 }
 
-// DecodeCodecResult is one codec's full-block decode: the arena tuple
-// decode against the allocating reference, and the φ slab decode on the
-// flat micro schema and on the paper's 16-attribute relation.
-type DecodeCodecResult struct {
-	Codec                string  `json:"codec"`
-	ArenaNsPerOp         float64 `json:"arena_ns_per_op"`
-	AllocNsPerOp         float64 `json:"alloc_ns_per_op"`
-	ArenaAllocsPerOp     float64 `json:"arena_allocs_per_op"`
-	AllocAllocsPerOp     float64 `json:"alloc_allocs_per_op"`
-	SpeedupPct           float64 `json:"speedup_pct"`
-	SlabNsPerOp          float64 `json:"slab_ns_per_op"`
-	SlabAllocsPerOp      float64 `json:"slab_allocs_per_op"`
-	PaperSlabNsPerOp     float64 `json:"paper_slab_ns_per_op"`
-	PaperTupleNsPerOp    float64 `json:"paper_tuple_ns_per_op"`
-	PaperSlabAllocsPerOp float64 `json:"paper_slab_allocs_per_op"`
-}
-
-// DecodeResult reports the decode-kernel measurements. Gate: every
-// codec's steady-state arena tuple decode and φ slab decode, on both
-// schemas, allocate zero objects per block (ZeroAllocPass).
+// DecodeResult reports the decode-kernel measurements, per codec c: the
+// arena tuple decode against the allocating reference
+// (arena_ns_per_op/c, alloc_ns_per_op/c, their allocs, speedup_pct/c),
+// and the φ slab decode on the flat micro schema (slab_ns_per_op/c) and
+// on the paper's 16-attribute relation (slab_ns_per_op/paper/c, against
+// the tuple decode tuple_ns_per_op/paper/c). Gate: every steady-state
+// arena tuple decode and slab decode, on both schemas, allocates zero
+// objects per block.
 //
-// LoadMillis and CountMillis repeat RunObs's uninstrumented workload so
-// scripts/benchgate.sh can hold this PR against the committed
-// BENCH_obs.json baseline.
-type DecodeResult struct {
-	Tuples      int `json:"tuples"`
-	PageSize    int `json:"page_size"`
-	BlockTuples int `json:"block_tuples"`
-	Rounds      int `json:"rounds"`
-	CountIters  int `json:"count_iters"`
-
-	Codecs []DecodeCodecResult `json:"codecs"`
-
-	LoadMillis  float64 `json:"load_ms"`
-	CountMillis float64 `json:"count_ms"`
-
-	ZeroAllocPass bool `json:"zero_alloc_pass"`
-	Pass          bool `json:"pass"`
-}
+// load_ms and count_ms repeat RunObs's uninstrumented workload so
+// `avqbench -exp gate` can hold them against the committed decode and obs
+// results (CheckGates).
+type DecodeResult struct{ Envelope }
 
 // allCodecs lists every block codec, in report order.
 var allCodecs = []core.Codec{
 	core.CodecRaw, core.CodecAVQ, core.CodecRepOnly,
 	core.CodecDeltaChain, core.CodecPacked,
-}
-
-// verdict renders a gate outcome.
-func verdict(b bool) string {
-	if b {
-		return "PASS"
-	}
-	return "FAIL"
 }
 
 // bestNsPerOp times f over cfg.Iters iterations, cfg.Rounds times, and
@@ -200,21 +165,23 @@ func paperMicroBlock(n int, seed int64) (*relation.Schema, []relation.Tuple, err
 // shared with RunObs.
 func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 	cfg.fillDefaults()
-	res := &DecodeResult{
-		Tuples:        cfg.Tuples,
-		PageSize:      cfg.PageSize,
-		BlockTuples:   cfg.BlockTuples,
-		Rounds:        cfg.Rounds,
-		CountIters:    cfg.CountIters,
-		ZeroAllocPass: true,
-	}
+	res := &DecodeResult{newEnvelope("decode", map[string]float64{
+		"tuples":       float64(cfg.Tuples),
+		"page_size":    float64(cfg.PageSize),
+		"block_tuples": float64(cfg.BlockTuples),
+		"rounds":       float64(cfg.Rounds),
+		"count_iters":  float64(cfg.CountIters),
+	})}
+	m := res.Metrics
 
 	s, block := decodeMicroBlock(cfg)
 	ps, pblock, err := paperMicroBlock(cfg.BlockTuples, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
+	maxAllocs := 0.0
 	for _, c := range allCodecs {
+		key := "/" + c.String()
 		enc, err := core.EncodeBlock(c, s, block, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%v: encode: %w", c, err)
@@ -231,24 +198,19 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 				panic(err)
 			}
 		}
-		cr := DecodeCodecResult{
-			Codec:            c.String(),
-			ArenaNsPerOp:     bestNsPerOp(cfg.Rounds, cfg.Iters, arenaOp),
-			AllocNsPerOp:     bestNsPerOp(cfg.Rounds, cfg.Iters, allocOp),
-			ArenaAllocsPerOp: allocsPerOp(100, arenaOp),
-			AllocAllocsPerOp: allocsPerOp(100, allocOp),
-		}
-		if cr.AllocNsPerOp > 0 {
-			cr.SpeedupPct = (cr.AllocNsPerOp - cr.ArenaNsPerOp) / cr.AllocNsPerOp * 100
-		}
+		arenaNs, allocNs := bestNsPerOp(cfg.Rounds, cfg.Iters, arenaOp), bestNsPerOp(cfg.Rounds, cfg.Iters, allocOp)
+		m["arena_ns_per_op"+key], m["alloc_ns_per_op"+key] = arenaNs, allocNs
+		m["arena_allocs_per_op"+key] = allocsPerOp(100, arenaOp)
+		m["alloc_allocs_per_op"+key] = allocsPerOp(100, allocOp)
+		m["speedup_pct"+key] = 100 * ratio(allocNs-arenaNs, allocNs)
 		slabOp := func() {
 			a.Reset()
 			if _, err := core.DecodeBlockPhis(s, enc, a); err != nil {
 				panic(err)
 			}
 		}
-		cr.SlabNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, slabOp)
-		cr.SlabAllocsPerOp = allocsPerOp(100, slabOp)
+		m["slab_ns_per_op"+key] = bestNsPerOp(cfg.Rounds, cfg.Iters, slabOp)
+		m["slab_allocs_per_op"+key] = allocsPerOp(100, slabOp)
 		penc, err := core.EncodeBlock(c, ps, pblock, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%v: encode paper block: %w", c, err)
@@ -259,22 +221,19 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 				panic(err)
 			}
 		}
-		cr.PaperSlabNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, paperSlabOp)
-		cr.PaperSlabAllocsPerOp = allocsPerOp(100, paperSlabOp)
-		cr.PaperTupleNsPerOp = bestNsPerOp(cfg.Rounds, cfg.Iters, func() {
+		m["slab_ns_per_op/paper"+key] = bestNsPerOp(cfg.Rounds, cfg.Iters, paperSlabOp)
+		m["slab_allocs_per_op/paper"+key] = allocsPerOp(100, paperSlabOp)
+		m["tuple_ns_per_op/paper"+key] = bestNsPerOp(cfg.Rounds, cfg.Iters, func() {
 			a.Reset()
 			if _, err := core.DecodeBlockArena(ps, penc, a); err != nil {
 				panic(err)
 			}
 		})
-		if cr.ArenaAllocsPerOp != 0 || cr.SlabAllocsPerOp != 0 || cr.PaperSlabAllocsPerOp != 0 {
-			res.ZeroAllocPass = false
-		}
-		res.Codecs = append(res.Codecs, cr)
+		maxAllocs = max(maxAllocs, m["arena_allocs_per_op"+key], m["slab_allocs_per_op"+key], m["slab_allocs_per_op/paper"+key])
 	}
 
 	// Macro workload: RunObs's uninstrumented BulkLoad + CountRange, so
-	// the benchgate can hold this result against BENCH_obs.json.
+	// the gate can hold this result against BENCH_obs.json.
 	spec := gen.Fig57Spec(cfg.Tuples, true, gen.VarianceLarge, cfg.Seed)
 	schema, tuples, err := spec.Build()
 	if err != nil {
@@ -311,33 +270,28 @@ func RunDecode(ctx context.Context, cfg DecodeConfig) (*DecodeResult, error) {
 			count = c
 		}
 	}
-	res.LoadMillis = float64(load.Microseconds()) / 1e3
-	res.CountMillis = float64(count.Microseconds()) / 1e3
+	m["load_ms"], m["count_ms"] = millis(load), millis(count)
 
-	res.Pass = res.ZeroAllocPass
+	res.Gates = []Gate{check("max_allocs_per_op", maxAllocs, "<=", 0)}
 	return res, nil
 }
 
 // WriteText renders the result as an aligned report.
 func (r *DecodeResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "Decode kernels: %d-tuple blocks, best of %d rounds\n", r.BlockTuples, r.Rounds)
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "Decode kernels: %.0f-tuple blocks, best of %.0f rounds\n", wl["block_tuples"], wl["rounds"])
 	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s %9s %12s %10s %12s %12s\n",
 		"codec", "arena ns/op", "alloc ns/op", "arena a/op", "alloc a/op", "speedup",
 		"slab ns/op", "slab a/op", "paper slab", "paper tuple")
-	for _, c := range r.Codecs {
+	for _, c := range allCodecs {
+		key := "/" + c.String()
 		fmt.Fprintf(w, "%-12s %12.0f %12.0f %10.1f %10.1f %8.1f%% %12.0f %10.1f %12.0f %12.0f\n",
-			c.Codec, c.ArenaNsPerOp, c.AllocNsPerOp, c.ArenaAllocsPerOp, c.AllocAllocsPerOp, c.SpeedupPct,
-			c.SlabNsPerOp, c.SlabAllocsPerOp, c.PaperSlabNsPerOp, c.PaperTupleNsPerOp)
+			c, m["arena_ns_per_op"+key], m["alloc_ns_per_op"+key], m["arena_allocs_per_op"+key],
+			m["alloc_allocs_per_op"+key], m["speedup_pct"+key], m["slab_ns_per_op"+key],
+			m["slab_allocs_per_op"+key], m["slab_ns_per_op/paper"+key], m["tuple_ns_per_op/paper"+key])
 	}
-	fmt.Fprintf(w, "macro (%d tuples, %d-byte pages): bulk load %.2f ms, count-range x%d %.2f ms\n",
-		r.Tuples, r.PageSize, r.LoadMillis, r.CountIters, r.CountMillis)
-	fmt.Fprintf(w, "gate: steady-state arena and slab decode allocate 0 objects/op: %s\n", verdict(r.ZeroAllocPass))
+	fmt.Fprintf(w, "macro (%.0f tuples, %.0f-byte pages): bulk load %.2f ms, count-range x%.0f %.2f ms\n",
+		wl["tuples"], wl["page_size"], m["load_ms"], wl["count_iters"], m["count_ms"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *DecodeResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -315,31 +315,30 @@ func TestPipelineSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Identical {
+	if g := gateOf(t, &res.Envelope, "byte_identical"); g.Status != StatusPass {
 		t.Fatal("parallel load was not byte-identical to serial")
 	}
-	if len(res.Rows) != 2 || res.Rows[0].Mode != "serial" || res.Rows[1].Mode != "parallel" {
-		t.Fatalf("rows = %+v, want serial then parallel", res.Rows)
+	m := res.Metrics
+	for _, mode := range []string{"serial", "parallel"} {
+		if m["load_ms/"+mode] <= 0 || m["scan_ms/"+mode] <= 0 {
+			t.Fatalf("no %s load/scan timing: %v", mode, m)
+		}
 	}
-	if res.Blocks <= 0 || res.LoadSpeedup <= 0 || res.ScanSpeedup <= 0 {
-		t.Fatalf("degenerate result %+v", res)
+	if m["blocks"] <= 0 || m["load_speedup"] <= 0 || m["scan_speedup"] <= 0 {
+		t.Fatalf("degenerate result %v", m)
 	}
-	if res.Cache.Misses == 0 || res.Cache.Hits == 0 {
-		t.Fatalf("cache never exercised: %+v", res.Cache)
+	if m["cache_misses"] == 0 || m["cache_hits"] == 0 {
+		t.Fatalf("cache never exercised: %v", m)
 	}
 	var sb strings.Builder
 	if err := res.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "byte-identical layout: true") {
-		t.Fatalf("report missing identity line:\n%s", sb.String())
+	if !strings.Contains(sb.String(), "gate: byte_identical = 1 == 1: PASS") {
+		t.Fatalf("report missing identity gate:\n%s", sb.String())
 	}
-	sb.Reset()
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"byte_identical\": true") {
-		t.Fatal("JSON record missing byte_identical")
+	if g := gateOf(t, roundTrip(t, &res.Envelope), "byte_identical"); g.Status != StatusPass {
+		t.Fatalf("recorded byte_identical gate = %+v, want pass", g)
 	}
 }
 
@@ -348,20 +347,21 @@ func TestPruningSmallScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Blocks <= 0 || len(res.Rows) == 0 {
-		t.Fatalf("degenerate result %+v", res)
+	m := res.Metrics
+	if m["blocks"] <= 0 {
+		t.Fatalf("degenerate result %v", m)
 	}
 	// The paper's selective ranges must show real pruning.
-	selective := res.Rows[0]
-	if selective.PrunedPercent <= 0 {
-		t.Fatalf("selective range pruned nothing: %+v", selective)
+	if m["pruned_pct/sel=1%"] <= 0 {
+		t.Fatalf("selective range pruned nothing: %v", m)
 	}
-	for _, row := range res.Rows {
-		if row.Matches <= 0 {
-			t.Fatalf("empty range at selectivity %.2f", row.Selectivity)
+	for _, sel := range []string{"1", "5", "10", "25", "50", "100"} {
+		key := "/sel=" + sel + "%"
+		if m["matches"+key] <= 0 {
+			t.Fatalf("empty range at selectivity %s%%", sel)
 		}
-		if row.BlocksPruned+row.FullDecodes != row.BlocksTotal {
-			t.Fatalf("block accounting broken: %+v", row)
+		if m["blocks_pruned"+key]+m["blocks_read"+key] != m["blocks"] {
+			t.Fatalf("block accounting broken at selectivity %s%%: %v", sel, m)
 		}
 	}
 	var sb strings.Builder
@@ -371,11 +371,7 @@ func TestPruningSmallScale(t *testing.T) {
 	if !strings.Contains(sb.String(), "pruned %") {
 		t.Fatalf("report missing pruning column:\n%s", sb.String())
 	}
-	sb.Reset()
-	if err := res.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "\"pruned_percent\"") {
-		t.Fatal("JSON record missing pruned_percent")
+	if got, ok := roundTrip(t, &res.Envelope).Metrics["pruned_pct/sel=1%"]; !ok || got != m["pruned_pct/sel=1%"] {
+		t.Fatalf("recorded pruned_pct/sel=1%% = %v (present %v), want %v", got, ok, m["pruned_pct/sel=1%"])
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -65,33 +64,13 @@ func (c *JoinConfig) fillDefaults() {
 
 // JoinResult reports the φ-slab execution measurements. Gates:
 //   - the slab decode kernel allocates zero objects per block at steady
-//     state, for every codec, on both the flat micro schema and the
-//     paper's 16-attribute relation (ZeroAllocPass);
+//     state, for every codec c, on both the flat micro schema and the
+//     paper's 16-attribute relation (slab_allocs_per_op/c and
+//     slab_allocs_per_op/paper/c);
 //   - the merge join and group-by results, single-table and on the
 //     cfg.Shards-way chained-stream join, are identical to a
-//     decode-all-then-join oracle over the loaded tuples
-//     (DifferentialPass).
-type JoinResult struct {
-	Tuples      int `json:"tuples"`
-	RightTuples int `json:"right_tuples"`
-	Stride      int `json:"stride"`
-	PageSize    int `json:"page_size"`
-	Rounds      int `json:"rounds"`
-	Shards      int `json:"shards"`
-
-	JoinMillis    float64 `json:"join_ms"`
-	JoinMatches   int     `json:"join_matches"`
-	JoinPrunedPct float64 `json:"join_pruned_pct"`
-
-	GroupMillis float64 `json:"group_ms"`
-	Groups      int     `json:"groups"`
-
-	SlabAllocsPerOp map[string]float64 `json:"slab_allocs_per_op"`
-
-	ZeroAllocPass    bool `json:"zero_alloc_pass"`
-	DifferentialPass bool `json:"differential_pass"`
-	Pass             bool `json:"pass"`
-}
+//     decode-all-then-join oracle over the loaded tuples.
+type JoinResult struct{ Envelope }
 
 // joinSchema is the experiment schema: a wide clustering domain (so
 // sparse keys leave multi-block gaps) over a flat ordinal space.
@@ -224,16 +203,15 @@ func oracleGroups(tuples []relation.Tuple, groupAttr, aggAttr int) []table.Group
 // schema.
 func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	cfg.fillDefaults()
-	res := &JoinResult{
-		Tuples:          cfg.Tuples,
-		RightTuples:     cfg.RightTuples,
-		Stride:          cfg.Stride,
-		PageSize:        cfg.PageSize,
-		Rounds:          cfg.Rounds,
-		Shards:          cfg.Shards,
-		SlabAllocsPerOp: map[string]float64{},
-		ZeroAllocPass:   true,
-	}
+	res := &JoinResult{newEnvelope("join", map[string]float64{
+		"tuples":       float64(cfg.Tuples),
+		"right_tuples": float64(cfg.RightTuples),
+		"stride":       float64(cfg.Stride),
+		"page_size":    float64(cfg.PageSize),
+		"rounds":       float64(cfg.Rounds),
+		"shards":       float64(cfg.Shards),
+	})}
+	m := res.Metrics
 
 	leftTuples, rightTuples := joinWorkload(cfg)
 	var tables []*table.Table
@@ -260,7 +238,7 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 
 	// Merge join: φ-space, with fence skipping on the sparse side.
 	var stats table.JoinStats
-	res.JoinMillis, err = bestMillis(cfg.Rounds, func() error {
+	m["join_ms"], err = bestMillis(cfg.Rounds, func() error {
 		st, err := table.MergeJoinEachContext(ctx, lt, rt, func(table.JoinRow) bool { return true })
 		stats = st
 		return err
@@ -268,10 +246,8 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.JoinMatches = stats.Matches
-	if total := stats.BatchBlocks + stats.BlocksPruned; total > 0 {
-		res.JoinPrunedPct = float64(stats.BlocksPruned) / float64(total) * 100
-	}
+	m["join_matches"] = float64(stats.Matches)
+	m["join_pruned_pct"] = 100 * ratio(float64(stats.BlocksPruned), float64(stats.BatchBlocks+stats.BlocksPruned))
 
 	// Differential: the single-table and the sharded chained-stream joins
 	// against the oracle.
@@ -284,13 +260,13 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.DifferentialPass = len(want) == stats.Matches &&
+	identical := len(want) == stats.Matches &&
 		reflect.DeepEqual(rows, want) && reflect.DeepEqual(shardRows, want)
 
 	// Group-by on the φ prefix: contiguous key runs on raw ordinals.
 	dom := joinSchema().Domain(0).Size
 	var groups []table.GroupResult
-	res.GroupMillis, err = bestMillis(cfg.Rounds, func() error {
+	m["group_ms"], err = bestMillis(cfg.Rounds, func() error {
 		g, _, err := lt.GroupByContext(ctx, 0, 0, dom-1, 0, 3)
 		groups = g
 		return err
@@ -298,10 +274,8 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Groups = len(groups)
-	if !reflect.DeepEqual(groups, oracleGroups(leftTuples, 0, 3)) {
-		res.DifferentialPass = false
-	}
+	m["groups"] = float64(len(groups))
+	identical = identical && reflect.DeepEqual(groups, oracleGroups(leftTuples, 0, 3))
 
 	// Slab kernel: steady-state DecodeBlockPhis must allocate nothing,
 	// for every codec, on a one-limb and a multi-limb schema.
@@ -310,6 +284,7 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	maxAllocs := 0.0
 	for _, sb := range []struct {
 		name  string
 		s     *relation.Schema
@@ -327,14 +302,15 @@ func RunJoin(ctx context.Context, cfg JoinConfig) (*JoinResult, error) {
 					panic(err)
 				}
 			})
-			res.SlabAllocsPerOp[sb.name+c.String()] = got
-			if got != 0 {
-				res.ZeroAllocPass = false
-			}
+			m["slab_allocs_per_op/"+sb.name+c.String()] = got
+			maxAllocs = max(maxAllocs, got)
 		}
 	}
 
-	res.Pass = res.ZeroAllocPass && res.DifferentialPass
+	res.Gates = []Gate{
+		check("max_slab_allocs_per_op", maxAllocs, "<=", 0),
+		holds("differential", identical),
+	}
 	return res, nil
 }
 
@@ -373,28 +349,20 @@ func shardJoinRows(ctx context.Context, cfg JoinConfig, left, right []relation.T
 
 // WriteText renders the result as an aligned report.
 func (r *JoinResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "φ-slab execution: %d ⋈ %d tuples (stride %d), %d-byte pages, best of %d rounds\n",
-		r.Tuples, r.RightTuples, r.Stride, r.PageSize, r.Rounds)
-	fmt.Fprintf(w, "merge join: %.2f ms (%d matches, %.1f%% of blocks fence-pruned)\n",
-		r.JoinMillis, r.JoinMatches, r.JoinPrunedPct)
-	fmt.Fprintf(w, "group-by(A1): %.2f ms (%d groups)\n", r.GroupMillis, r.Groups)
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "φ-slab execution: %.0f ⋈ %.0f tuples (stride %.0f), %.0f-byte pages, best of %.0f rounds\n",
+		wl["tuples"], wl["right_tuples"], wl["stride"], wl["page_size"], wl["rounds"])
+	fmt.Fprintf(w, "merge join: %.2f ms (%.0f matches, %.1f%% of blocks fence-pruned)\n",
+		m["join_ms"], m["join_matches"], m["join_pruned_pct"])
+	fmt.Fprintf(w, "group-by(A1): %.2f ms (%.0f groups)\n", m["group_ms"], m["groups"])
 	fmt.Fprintf(w, "slab kernel allocs/op:")
 	for _, prefix := range []string{"", "paper/"} {
 		for _, c := range allCodecs {
-			if v, ok := r.SlabAllocsPerOp[prefix+c.String()]; ok {
-				fmt.Fprintf(w, " %s%s=%.1f", prefix, c, v)
-			}
+			fmt.Fprintf(w, " %s%s=%.1f", prefix, c, m["slab_allocs_per_op/"+prefix+c.String()])
 		}
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "gate: slab kernels allocate 0 objects/op: %s\n", verdict(r.ZeroAllocPass))
-	fmt.Fprintf(w, "gate: single-table and %d-shard results identical to the decode-all oracle: %s\n", r.Shards, verdict(r.DifferentialPass))
+	fmt.Fprintf(w, "differential: single-table and %.0f-shard join and group-by against the decode-all oracle\n", wl["shards"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *JoinResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -49,38 +48,13 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 }
 
-// PipelineRow is one measured configuration of the pipeline benchmark.
-type PipelineRow struct {
-	Mode        string  `json:"mode"` // "serial" or "parallel"
-	Concurrency int     `json:"concurrency"`
-	LoadMillis  float64 `json:"load_ms"`
-	LoadMBps    float64 `json:"load_mb_per_s"`
-	ScanMillis  float64 `json:"scan_ms"`
-	ScanMBps    float64 `json:"scan_mb_per_s"`
-}
-
 // PipelineResult compares the serial reference codec path against the
-// worker-pool pipeline on the same relation.
-type PipelineResult struct {
-	Tuples      int     `json:"tuples"`
-	Attrs       int     `json:"attrs"`
-	RawMB       float64 `json:"raw_mb"`
-	Blocks      int     `json:"blocks"`
-	Concurrency int     `json:"concurrency"`
-
-	Rows []PipelineRow `json:"rows"`
-
-	LoadSpeedup float64 `json:"load_speedup"`
-	ScanSpeedup float64 `json:"scan_speedup"`
-
-	// Identical reports that the parallel load produced byte-identical
-	// page images to the serial load — the pipeline's core invariant.
-	Identical bool `json:"byte_identical"`
-
-	// Cache holds the decoded-block cache counters after the parallel
-	// scan passes.
-	Cache blockstore.CacheStats `json:"cache"`
-}
+// worker-pool pipeline on the same relation: load and scan time and
+// throughput per mode (load_ms/serial, scan_mb_per_s/parallel, ...) and
+// the decoded-block cache counters after the parallel scan passes. Gate:
+// the parallel load produces byte-identical page images to the serial
+// load — the pipeline's core invariant.
+type PipelineResult struct{ Envelope }
 
 // pipelineRelation builds the benchmark relation: the Figure 5.7 family
 // (15 attributes), sorted into phi order ready for bulk loading.
@@ -95,27 +69,27 @@ func pipelineRelation(cfg PipelineConfig) (*relation.Schema, []relation.Tuple, e
 }
 
 // runPipelineOnce loads and scans the relation once at the given
-// configuration, returning the store's page images for the identity check.
-func runPipelineOnce(ctx context.Context, schema *relation.Schema, tuples []relation.Tuple, pageSize int, cfg blockstore.Config) (PipelineRow, [][]byte, blockstore.CacheStats, error) {
-	var row PipelineRow
+// configuration, recording load and scan time and throughput in m under
+// mode, and returns the store's page images for the identity check.
+func runPipelineOnce(ctx context.Context, schema *relation.Schema, tuples []relation.Tuple, pageSize int, cfg blockstore.Config, mode string, m map[string]float64) ([][]byte, blockstore.CacheStats, error) {
 	pager, err := storage.NewMemPager(pageSize)
 	if err != nil {
-		return row, nil, blockstore.CacheStats{}, err
+		return nil, blockstore.CacheStats{}, err
 	}
 	pool, err := buffer.New(pager, nil, 256)
 	if err != nil {
-		return row, nil, blockstore.CacheStats{}, err
+		return nil, blockstore.CacheStats{}, err
 	}
 	store, err := blockstore.New(schema, core.CodecAVQ, pool)
 	if err != nil {
-		return row, nil, blockstore.CacheStats{}, err
+		return nil, blockstore.CacheStats{}, err
 	}
 	store.Configure(cfg)
 	rawMB := float64(len(tuples)*schema.RowSize()) / (1 << 20)
 
 	start := time.Now()
 	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
-		return row, nil, blockstore.CacheStats{}, err
+		return nil, blockstore.CacheStats{}, err
 	}
 	load := time.Since(start)
 
@@ -124,38 +98,26 @@ func runPipelineOnce(ctx context.Context, schema *relation.Schema, tuples []rela
 	start = time.Now()
 	for pass := 0; pass < 2; pass++ {
 		if err := store.ScanBlocksContext(ctx, func(storage.PageID, []relation.Tuple) bool { return true }); err != nil {
-			return row, nil, blockstore.CacheStats{}, err
+			return nil, blockstore.CacheStats{}, err
 		}
 	}
 	scan := time.Since(start) / 2
 
 	if err := pool.Flush(); err != nil {
-		return row, nil, blockstore.CacheStats{}, err
+		return nil, blockstore.CacheStats{}, err
 	}
 	images := make([][]byte, 0, len(store.Blocks()))
 	for _, id := range store.Blocks() {
 		buf := make([]byte, pageSize)
 		if err := pager.Read(id, buf); err != nil {
-			return row, nil, blockstore.CacheStats{}, err
+			return nil, blockstore.CacheStats{}, err
 		}
 		images = append(images, buf)
 	}
 
-	mode := "serial"
-	conc := 1
-	if cfg.Concurrency > 1 {
-		mode = "parallel"
-		conc = cfg.Concurrency
-	}
-	row = PipelineRow{
-		Mode:        mode,
-		Concurrency: conc,
-		LoadMillis:  float64(load.Microseconds()) / 1e3,
-		LoadMBps:    rawMB / load.Seconds(),
-		ScanMillis:  float64(scan.Microseconds()) / 1e3,
-		ScanMBps:    rawMB / scan.Seconds(),
-	}
-	return row, images, store.CacheStats(), nil
+	m["load_ms/"+mode], m["load_mb_per_s/"+mode] = millis(load), rawMB/load.Seconds()
+	m["scan_ms/"+mode], m["scan_mb_per_s/"+mode] = millis(scan), rawMB/scan.Seconds()
+	return images, store.CacheStats(), nil
 }
 
 // RunPipeline benchmarks bulk load and full scans through the serial
@@ -167,66 +129,62 @@ func RunPipeline(ctx context.Context, cfg PipelineConfig) (*PipelineResult, erro
 	if err != nil {
 		return nil, err
 	}
-	res := &PipelineResult{
-		Tuples:      len(tuples),
-		Attrs:       schema.NumAttrs(),
-		RawMB:       float64(len(tuples)*schema.RowSize()) / (1 << 20),
-		Concurrency: cfg.Concurrency,
-	}
-	serial, serialImages, _, err := runPipelineOnce(ctx, schema, tuples, cfg.PageSize, blockstore.Config{})
+	res := &PipelineResult{newEnvelope("pipeline", map[string]float64{
+		"tuples":       float64(len(tuples)),
+		"attrs":        float64(schema.NumAttrs()),
+		"page_size":    float64(cfg.PageSize),
+		"concurrency":  float64(cfg.Concurrency),
+		"cache_blocks": float64(cfg.CacheBlocks),
+	})}
+	m := res.Metrics
+	serialImages, _, err := runPipelineOnce(ctx, schema, tuples, cfg.PageSize, blockstore.Config{}, "serial", m)
 	if err != nil {
 		return nil, err
 	}
-	par, parImages, cache, err := runPipelineOnce(ctx, schema, tuples, cfg.PageSize, blockstore.Config{
+	parImages, cache, err := runPipelineOnce(ctx, schema, tuples, cfg.PageSize, blockstore.Config{
 		Concurrency: cfg.Concurrency,
 		CacheBlocks: cfg.CacheBlocks,
-	})
+	}, "parallel", m)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = []PipelineRow{serial, par}
-	res.Blocks = len(serialImages)
-	res.LoadSpeedup = par.LoadMBps / serial.LoadMBps
-	res.ScanSpeedup = par.ScanMBps / serial.ScanMBps
-	res.Cache = cache
-	res.Identical = len(serialImages) == len(parImages)
-	if res.Identical {
-		for i := range serialImages {
-			if !bytes.Equal(serialImages[i], parImages[i]) {
-				res.Identical = false
-				break
-			}
-		}
+	identical := len(serialImages) == len(parImages)
+	for i := 0; identical && i < len(serialImages); i++ {
+		identical = bytes.Equal(serialImages[i], parImages[i])
 	}
+	m["raw_mb"] = float64(len(tuples)*schema.RowSize()) / (1 << 20)
+	m["blocks"] = float64(len(serialImages))
+	m["load_speedup"] = m["load_mb_per_s/parallel"] / m["load_mb_per_s/serial"]
+	m["scan_speedup"] = m["scan_mb_per_s/parallel"] / m["scan_mb_per_s/serial"]
+	m["cache_hits"], m["cache_misses"] = float64(cache.Hits), float64(cache.Misses)
+	m["cache_invalidations"], m["cache_entries"] = float64(cache.Invalidations), float64(cache.Entries)
+	res.Gates = []Gate{holds("byte_identical", identical)}
 	return res, nil
 }
 
 // WriteText renders the benchmark like the report tables.
 func (r *PipelineResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "Parallel codec pipeline: %d tuples x %d attrs (%.1f MB raw), %d AVQ blocks\n",
-		r.Tuples, r.Attrs, r.RawMB, r.Blocks)
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "Parallel codec pipeline: %.0f tuples x %.0f attrs (%.1f MB raw), %.0f AVQ blocks\n",
+		wl["tuples"], wl["attrs"], m["raw_mb"], m["blocks"])
 	t := &textTable{header: []string{"mode", "workers", "load ms", "load MB/s", "scan ms", "scan MB/s"}}
-	for _, row := range r.Rows {
-		t.addRow(row.Mode,
-			fmt.Sprintf("%d", row.Concurrency),
-			fmt.Sprintf("%.1f", row.LoadMillis),
-			fmt.Sprintf("%.1f", row.LoadMBps),
-			fmt.Sprintf("%.1f", row.ScanMillis),
-			fmt.Sprintf("%.1f", row.ScanMBps))
+	for _, row := range []struct {
+		mode    string
+		workers float64
+	}{{"serial", 1}, {"parallel", wl["concurrency"]}} {
+		t.addRow(row.mode,
+			fmt.Sprintf("%.0f", row.workers),
+			fmt.Sprintf("%.1f", m["load_ms/"+row.mode]),
+			fmt.Sprintf("%.1f", m["load_mb_per_s/"+row.mode]),
+			fmt.Sprintf("%.1f", m["scan_ms/"+row.mode]),
+			fmt.Sprintf("%.1f", m["scan_mb_per_s/"+row.mode]))
 	}
 	if err := t.write(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\nload speedup %.2fx, scan speedup %.2fx, byte-identical layout: %v\n",
-		r.LoadSpeedup, r.ScanSpeedup, r.Identical)
-	fmt.Fprintf(w, "decoded-block cache: %d hits, %d misses, %d invalidations, %d resident\n",
-		r.Cache.Hits, r.Cache.Misses, r.Cache.Invalidations, r.Cache.Entries)
+	fmt.Fprintf(w, "\nload speedup %.2fx, scan speedup %.2fx\n", m["load_speedup"], m["scan_speedup"])
+	fmt.Fprintf(w, "decoded-block cache: %.0f hits, %.0f misses, %.0f invalidations, %.0f resident\n",
+		m["cache_hits"], m["cache_misses"], m["cache_invalidations"], m["cache_entries"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON emits the machine-readable benchmark record.
-func (r *PipelineResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -38,36 +37,17 @@ func (c *PruningConfig) fillDefaults() {
 	}
 }
 
-// PruningRow is one measured range query at one selectivity.
-type PruningRow struct {
-	Selectivity float64 `json:"selectivity"` // fraction of the A1 domain
-	Lo          uint64  `json:"lo"`
-	Hi          uint64  `json:"hi"`
-	Matches     int     `json:"matches"`
+// PruningResult is the full benchmark record: for each range query, at
+// selectivity N% of the A1 domain, its matches, blocks pruned and read,
+// and the naive and executor times (naive_ms/sel=N%, exec_ms/sel=N%).
+// Naive reads and decodes every block and filters — the read path before
+// the executor; exec is the executor: φ-fence pruning, then φ slab
+// decodes clipped to the range.
+type PruningResult struct{ Envelope }
 
-	BlocksTotal   int     `json:"blocks_total"`
-	BlocksPruned  int     `json:"blocks_pruned"`
-	PrunedPercent float64 `json:"pruned_percent"`
-	FullDecodes   int     `json:"full_decodes"`
-
-	// NaiveMillis reads and decodes every block and filters — the read
-	// path before the executor. ExecMillis is the executor: φ-fence
-	// pruning, then φ slab decodes clipped to the range.
-	NaiveMillis float64 `json:"naive_ms"`
-	ExecMillis  float64 `json:"exec_ms"`
-
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
-}
-
-// PruningResult is the full benchmark record.
-type PruningResult struct {
-	Tuples   int    `json:"tuples"`
-	Blocks   int    `json:"blocks"`
-	PageSize int    `json:"page_size"`
-	Codec    string `json:"codec"`
-
-	Rows []PruningRow `json:"rows"`
-}
+// pruningSelectivities are the measured range widths, as fractions of
+// the A1 domain.
+var pruningSelectivities = []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00}
 
 // RunPruning measures what the snapshot executor's φ-fence pruning buys
 // on clustered range queries of varying selectivity,
@@ -94,15 +74,15 @@ func RunPruning(ctx context.Context, cfg PruningConfig) (*PruningResult, error) 
 	if _, err := store.BulkLoadContext(ctx, tuples); err != nil {
 		return nil, err
 	}
-	res := &PruningResult{
-		Tuples:   len(tuples),
-		Blocks:   store.NumBlocks(),
-		PageSize: cfg.PageSize,
-		Codec:    core.CodecAVQ.String(),
-	}
+	res := &PruningResult{newEnvelope("pruning", map[string]float64{
+		"tuples":    float64(len(tuples)),
+		"page_size": float64(cfg.PageSize),
+		"reps":      float64(cfg.Reps),
+	})}
+	res.Metrics["blocks"] = float64(store.NumBlocks())
 
 	domain := schema.Domain(0).Size
-	for _, sel := range []float64{0.01, 0.05, 0.10, 0.25, 0.50, 1.00} {
+	for _, sel := range pruningSelectivities {
 		width := uint64(float64(domain) * sel)
 		if width == 0 {
 			width = 1
@@ -111,19 +91,17 @@ func RunPruning(ctx context.Context, cfg PruningConfig) (*PruningResult, error) 
 		if lo+width > domain {
 			lo = domain - width
 		}
-		hi := lo + width - 1
-		row, err := runPruningQuery(ctx, store, sel, lo, hi, cfg.Reps)
-		if err != nil {
+		key := fmt.Sprintf("/sel=%.0f%%", 100*sel)
+		if err := runPruningQuery(ctx, store, lo, lo+width-1, cfg.Reps, key, res.Metrics); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// runPruningQuery times the two read paths on one range.
-func runPruningQuery(ctx context.Context, store *blockstore.Store, sel float64, lo, hi uint64, reps int) (PruningRow, error) {
-	row := PruningRow{Selectivity: sel, Lo: lo, Hi: hi}
+// runPruningQuery times the two read paths on one range and records the
+// results in m under key.
+func runPruningQuery(ctx context.Context, store *blockstore.Store, lo, hi uint64, reps int, key string, m map[string]float64) error {
 	plan := exec.Plan{Preds: []exec.Pred{{Attr: 0, Lo: lo, Hi: hi}}}
 
 	// Naive: decode every block, filter. This is the pre-executor path.
@@ -148,30 +126,24 @@ func runPruningQuery(ctx context.Context, store *blockstore.Store, sel float64, 
 		return matches, nil
 	})
 	if err != nil {
-		return row, err
+		return err
 	}
 
 	var st exec.Stats
 	execMs, execMatches, err := timeExec(ctx, store, plan, reps, &st)
 	if err != nil {
-		return row, err
+		return err
 	}
 	if naiveMatches != execMatches {
-		return row, fmt.Errorf("pruning: match counts diverge: naive %d, exec %d", naiveMatches, execMatches)
+		return fmt.Errorf("pruning: match counts diverge: naive %d, exec %d", naiveMatches, execMatches)
 	}
-	row.Matches = execMatches
-	row.BlocksTotal = st.BlocksTotal
-	row.BlocksPruned = st.BlocksPruned
-	if st.BlocksTotal > 0 {
-		row.PrunedPercent = 100 * float64(st.BlocksPruned) / float64(st.BlocksTotal)
-	}
-	row.FullDecodes = st.BatchBlocks
-	row.NaiveMillis = naive
-	row.ExecMillis = execMs
-	if execMs > 0 {
-		row.SpeedupVsNaive = naive / execMs
-	}
-	return row, nil
+	m["matches"+key] = float64(execMatches)
+	m["blocks_pruned"+key] = float64(st.BlocksPruned)
+	m["blocks_read"+key] = float64(st.BatchBlocks)
+	m["pruned_pct"+key] = 100 * ratio(float64(st.BlocksPruned), float64(st.BlocksTotal))
+	m["naive_ms"+key], m["exec_ms"+key] = naive, execMs
+	m["speedup_vs_naive"+key] = ratio(naive, execMs)
+	return nil
 }
 
 // timeExec times reps executor passes of one plan, returning the mean
@@ -208,30 +180,25 @@ func timePasses(reps int, fn func() (int, error)) (float64, int, error) {
 
 // WriteText renders the benchmark like the report tables.
 func (r *PruningResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "Phi-fence pruning: %d tuples in %d %s blocks of %d bytes, range on A1\n",
-		r.Tuples, r.Blocks, r.Codec, r.PageSize)
-	t := &textTable{header: []string{"sel %", "rows", "pruned", "pruned %", "decoded", "naive ms", "exec ms", "speedup"}}
-	for _, row := range r.Rows {
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "Phi-fence pruning: %.0f tuples in %.0f %s blocks of %.0f bytes, range on A1\n",
+		wl["tuples"], m["blocks"], core.CodecAVQ, wl["page_size"])
+	t := &textTable{header: []string{"sel %", "rows", "pruned", "pruned %", "read", "naive ms", "exec ms", "speedup"}}
+	for _, sel := range pruningSelectivities {
+		key := fmt.Sprintf("/sel=%.0f%%", 100*sel)
 		t.addRow(
-			fmt.Sprintf("%.0f", 100*row.Selectivity),
-			fmt.Sprintf("%d", row.Matches),
-			fmt.Sprintf("%d/%d", row.BlocksPruned, row.BlocksTotal),
-			fmt.Sprintf("%.1f", row.PrunedPercent),
-			fmt.Sprintf("%d", row.FullDecodes),
-			fmt.Sprintf("%.2f", row.NaiveMillis),
-			fmt.Sprintf("%.2f", row.ExecMillis),
-			fmt.Sprintf("%.1fx", row.SpeedupVsNaive))
+			fmt.Sprintf("%.0f", 100*sel),
+			fmt.Sprintf("%.0f", m["matches"+key]),
+			fmt.Sprintf("%.0f/%.0f", m["blocks_pruned"+key], m["blocks"]),
+			fmt.Sprintf("%.1f", m["pruned_pct"+key]),
+			fmt.Sprintf("%.0f", m["blocks_read"+key]),
+			fmt.Sprintf("%.2f", m["naive_ms"+key]),
+			fmt.Sprintf("%.2f", m["exec_ms"+key]),
+			fmt.Sprintf("%.1fx", m["speedup_vs_naive"+key]))
 	}
 	if err := t.write(w); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nnaive decodes every block; exec prunes on phi-fences and clips\neach decoded phi slab to the range\n")
 	return nil
-}
-
-// WriteJSON emits the machine-readable benchmark record.
-func (r *PruningResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -86,34 +86,16 @@ const (
 	serveMaxOverheadPct = 5.0
 )
 
-// ServeResult records the four phases of the A10 experiment.
-type ServeResult struct {
-	Tuples      int `json:"tuples"`
-	Requests    int `json:"requests"`
-	Concurrency int `json:"concurrency"`
-	Writes      int `json:"writes"`
-	Errors      int `json:"errors"`
+// serveOverload is how many concurrent full-table scans the saturation
+// phase sends through the one-slot, one-deep read lane.
+const serveOverload = 64
 
-	P50Millis    float64 `json:"p50_ms"`
-	P95Millis    float64 `json:"p95_ms"`
-	P99Millis    float64 `json:"p99_ms"`
-	MaxP99Millis float64 `json:"max_p99_ms"`
-	LatencyPass  bool    `json:"latency_pass"`
-
-	OverloadRequests int  `json:"overload_requests"`
-	OverloadOK       int  `json:"overload_ok"`
-	OverloadRejected int  `json:"overload_rejected"`
-	OverloadPass     bool `json:"overload_pass"`
-
-	DirectMicros   float64 `json:"direct_us_per_op"`
-	LimitedMicros  float64 `json:"limited_us_per_op"`
-	OverheadPct    float64 `json:"admission_overhead_pct"`
-	MaxOverheadPct float64 `json:"max_overhead_pct"`
-	OverheadPass   bool    `json:"overhead_pass"`
-
-	DrainPass bool `json:"drain_pass"`
-	Pass      bool `json:"pass"`
-}
+// ServeResult records the four phases of the A10 experiment. The drain
+// metrics are drain_errors, the servers' Shutdowns that failed (inflight
+// requests, pinned frames or live snapshots left behind), and the
+// engine's pinned_frames and live_snapshots after the latency server
+// drained.
+type ServeResult struct{ Envelope }
 
 // serveClient is one HTTP endpoint under test: a server.Server on a real
 // loopback listener plus a keep-alive client pointed at it.
@@ -249,13 +231,14 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 		eng.Close()
 	}()
 
-	res := &ServeResult{
-		Tuples:         cfg.Tuples,
-		Requests:       cfg.Requests,
-		Concurrency:    cfg.Concurrency,
-		MaxP99Millis:   serveMaxP99Millis,
-		MaxOverheadPct: serveMaxOverheadPct,
-	}
+	res := &ServeResult{newEnvelope("serve", map[string]float64{
+		"tuples":            float64(cfg.Tuples),
+		"requests":          float64(cfg.Requests),
+		"concurrency":       float64(cfg.Concurrency),
+		"write_every":       float64(cfg.WriteEvery),
+		"overload_requests": serveOverload,
+	})}
+	m := res.Metrics
 
 	// Phase 1: mixed-workload latency through the full HTTP stack.
 	sc, err := startServe(server.New(server.Config{Engine: eng}), cfg.Concurrency)
@@ -302,18 +285,19 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 		return nil, err
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	res.Writes = int(writes)
-	res.Errors = int(httpErrs)
-	res.P50Millis = percentile(latencies, 0.50)
-	res.P95Millis = percentile(latencies, 0.95)
-	res.P99Millis = percentile(latencies, 0.99)
-	res.LatencyPass = res.Errors == 0 && res.P99Millis <= serveMaxP99Millis
+	m["writes"], m["errors"] = float64(writes), float64(httpErrs)
+	m["p50_ms"] = percentile(latencies, 0.50)
+	m["p95_ms"] = percentile(latencies, 0.95)
+	m["p99_ms"] = percentile(latencies, 0.99)
 
 	// Phase 2: drain the latency server. Shutdown itself enforces the
 	// leak gate: it fails on inflight requests, pinned frames, or live
 	// snapshots.
-	res.DrainPass = sc.shutdown(ctx) == nil &&
-		eng.PinnedFrames() == 0 && eng.LiveSnapshots() == 0
+	m["drain_errors"] = 0
+	if sc.shutdown(ctx) != nil {
+		m["drain_errors"]++
+	}
+	m["pinned_frames"], m["live_snapshots"] = float64(eng.PinnedFrames()), float64(eng.LiveSnapshots())
 
 	// Phase 3: saturation. One read slot and a one-deep queue, hammered
 	// with full-table scans: the bucket must shed load with 429s, and
@@ -327,11 +311,9 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	const overload = 64
-	res.OverloadRequests = overload
 	var ok64, rej64 atomic.Int64
 	var owg sync.WaitGroup
-	for i := 0; i < overload; i++ {
+	for i := 0; i < serveOverload; i++ {
 		owg.Add(1)
 		go func() {
 			defer owg.Done()
@@ -348,12 +330,9 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 		}()
 	}
 	owg.Wait()
-	res.OverloadOK = int(ok64.Load())
-	res.OverloadRejected = int(rej64.Load())
-	res.OverloadPass = res.OverloadRejected > 0 && res.OverloadOK > 0 &&
-		res.OverloadOK+res.OverloadRejected == overload
-	if err := over.shutdown(ctx); err != nil {
-		res.DrainPass = false
+	m["overload_ok"], m["overload_rejected"] = float64(ok64.Load()), float64(rej64.Load())
+	if over.shutdown(ctx) != nil {
+		m["drain_errors"]++
 	}
 
 	// Phase 4: the admission layer's cost against direct Engine calls.
@@ -396,14 +375,21 @@ func RunServe(ctx context.Context, cfg ServeConfig) (*ServeResult, error) {
 	}
 	directPerOp := float64(direct) / float64(cfg.OverheadIters)
 	admitPerOp := float64(admit) / float64(admitIters)
-	res.DirectMicros = directPerOp / 1e3
-	res.LimitedMicros = (directPerOp + admitPerOp) / 1e3
-	if directPerOp > 0 {
-		res.OverheadPct = admitPerOp / directPerOp * 100
-	}
-	res.OverheadPass = res.OverheadPct <= serveMaxOverheadPct
+	m["direct_us_per_op"] = directPerOp / 1e3
+	m["limited_us_per_op"] = (directPerOp + admitPerOp) / 1e3
+	m["admission_overhead_pct"] = 100 * ratio(admitPerOp, directPerOp)
 
-	res.Pass = res.LatencyPass && res.OverloadPass && res.OverheadPass && res.DrainPass
+	res.Gates = []Gate{
+		check("p99_ms", m["p99_ms"], "<=", serveMaxP99Millis),
+		check("errors", m["errors"], "<=", 0),
+		check("overload_ok", m["overload_ok"], ">=", 1),
+		check("overload_rejected", m["overload_rejected"], ">=", 1),
+		check("overload_answered", m["overload_ok"]+m["overload_rejected"], "==", serveOverload),
+		check("admission_overhead_pct", m["admission_overhead_pct"], "<=", serveMaxOverheadPct),
+		check("drain_errors", m["drain_errors"], "<=", 0),
+		check("pinned_frames", m["pinned_frames"], "<=", 0),
+		check("live_snapshots", m["live_snapshots"], "<=", 0),
+	}
 	return res, nil
 }
 
@@ -443,29 +429,16 @@ func bestRound(rounds int, fn func() (time.Duration, error)) (time.Duration, err
 
 // WriteText renders the result as an aligned report.
 func (r *ServeResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "Query server (A10): %d tuples, %d requests x %d workers (%d writes, %d errors)\n",
-		r.Tuples, r.Requests, r.Concurrency, r.Writes, r.Errors)
-	fmt.Fprintf(w, "latency: p50 %.2fms  p95 %.2fms  p99 %.2fms (gate <= %.0fms)\n",
-		r.P50Millis, r.P95Millis, r.P99Millis, r.MaxP99Millis)
-	fmt.Fprintf(w, "overload: %d requests through 1 slot + 1 queue: %d ok, %d rejected with 429\n",
-		r.OverloadRequests, r.OverloadOK, r.OverloadRejected)
-	fmt.Fprintf(w, "admission: direct %.1fus/op vs limited %.1fus/op = %+.2f%% overhead (gate <= %.1f%%)\n",
-		r.DirectMicros, r.LimitedMicros, r.OverheadPct, r.MaxOverheadPct)
-	verdict := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	fmt.Fprintf(w, "gates: latency %s, overload %s, overhead %s, drain %s => %s\n",
-		verdict(r.LatencyPass), verdict(r.OverloadPass), verdict(r.OverheadPass),
-		verdict(r.DrainPass), verdict(r.Pass))
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "Query server (A10): %.0f tuples, %.0f requests x %.0f workers (%.0f writes, %.0f errors)\n",
+		wl["tuples"], wl["requests"], wl["concurrency"], m["writes"], m["errors"])
+	fmt.Fprintf(w, "latency: p50 %.2fms  p95 %.2fms  p99 %.2fms\n", m["p50_ms"], m["p95_ms"], m["p99_ms"])
+	fmt.Fprintf(w, "overload: %.0f requests through 1 slot + 1 queue: %.0f ok, %.0f rejected with 429\n",
+		wl["overload_requests"], m["overload_ok"], m["overload_rejected"])
+	fmt.Fprintf(w, "admission: direct %.1fus/op vs limited %.1fus/op = %+.2f%% overhead\n",
+		m["direct_us_per_op"], m["limited_us_per_op"], m["admission_overhead_pct"])
+	fmt.Fprintf(w, "drain: %.0f failed shutdowns, %.0f pinned frames, %.0f live snapshots\n",
+		m["drain_errors"], m["pinned_frames"], m["live_snapshots"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON emits the machine-readable benchmark record.
-func (r *ServeResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/relation"
@@ -49,59 +47,42 @@ func (c *ShardConfig) fillDefaults() {
 	}
 }
 
-// ShardScaleRow is one shard count's full-scan measurement.
-type ShardScaleRow struct {
-	Shards     int     `json:"shards"`
-	ScanMillis float64 `json:"scan_ms"`
-	Speedup    float64 `json:"speedup"`
-}
-
-// ShardResult reports the sharding measurements. Gates:
-//   - the scatter-gather executor scans at least MinSpeedup4 times
-//     faster at four shards than at one (ScalePass; only enforced when
-//     the host has >= 4 CPUs, since the speedup is parallelism);
+// ShardResult reports the sharding measurements: the full-scan time and
+// speedup over one shard at each shard count k (scan_ms/shards=k,
+// speedup/shards=k), pruning at ~1% selectivity, and the count path's
+// allocations. Gates:
+//   - the scatter-gather executor scans at least shardMinSpeedup4 times
+//     faster at four shards than at one; the speedup is parallelism, so
+//     the gate is waived on a host with fewer than shardMinCPUs CPUs;
 //   - at ~1% φ-selectivity the sharded database prunes at least the
-//     block fraction the single-table fence path prunes (PrunePass) —
-//     catalog pruning must subsume, never lose, PR3's fence pruning;
+//     block fraction the single-table fence path prunes — catalog
+//     pruning must subsume, never lose, fence pruning;
 //   - the table-level CountRange arena path still allocates only O(1)
-//     bookkeeping per query — at most MaxCountAllocs objects, nothing
-//     per block or per tuple — under the refactored stack (AllocPass);
-//     the per-block decode kernels' strict 0 allocs/op gate lives in
-//     the decode experiment.
+//     bookkeeping per query — at most shardMaxCountAllocs objects,
+//     nothing per block or per tuple; the per-block decode kernels'
+//     strict 0 allocs/op gate lives in the decode experiment.
 type ShardResult struct {
-	Tuples   int `json:"tuples"`
-	PageSize int `json:"page_size"`
-	Rounds   int `json:"rounds"`
-	CPUs     int `json:"cpus"`
-
-	Scale []ShardScaleRow `json:"scale"`
-
-	Speedup4    float64 `json:"speedup4"`
-	MinSpeedup4 float64 `json:"min_speedup4"`
-
-	SelectivityPct   float64 `json:"selectivity_pct"`
-	ShardPrunedPct   float64 `json:"shard_pruned_pct"`
-	FencePrunedPct   float64 `json:"fence_pruned_pct"`
-	ShardBlocksTotal int     `json:"shard_blocks_total"`
-
-	CountAllocsPerOp float64 `json:"count_allocs_per_op"`
-	MaxCountAllocs   float64 `json:"max_count_allocs"`
-
-	ScalePass bool `json:"scale_pass"`
-	PrunePass bool `json:"prune_pass"`
-	AllocPass bool `json:"alloc_pass"`
-	Pass      bool `json:"pass"`
+	Envelope
+	shardCounts []int
 }
 
 // shardMinSpeedup4 is the acceptance floor for scatter-gather scan
 // throughput at four shards over the single-shard degenerate case.
 const shardMinSpeedup4 = 2.0
 
+// shardMinCPUs is the core count below which the scaling gate is waived.
+const shardMinCPUs = 4
+
 // shardMaxCountAllocs bounds CountRange's per-query bookkeeping: the
 // pass struct, bound split, and first-use stream buffer are O(1); any
 // per-block or per-tuple allocation would scale with the relation and
 // blow far past this.
 const shardMaxCountAllocs = 16
+
+// shardPoolFrames is the buffer-pool budget split evenly across the
+// shards at every shard count (the single-table default), so the sweep
+// varies the shard count alone, not the cache size with it.
+const shardPoolFrames = 128
 
 // shardBenchSchema is the employee relation scaled so attribute 0 has a
 // φ-domain wide enough for eight shards and a ~1%-selectivity range.
@@ -162,20 +143,25 @@ func RunShard(ctx context.Context, cfg ShardConfig) (*ShardResult, error) {
 	}
 
 	res := &ShardResult{
-		Tuples:         cfg.Tuples,
-		PageSize:       cfg.PageSize,
-		Rounds:         cfg.Rounds,
-		CPUs:           runtime.NumCPU(),
-		MinSpeedup4:    shardMinSpeedup4,
-		MaxCountAllocs: shardMaxCountAllocs,
-		SelectivityPct: 100 * float64(width) / float64(domain),
+		Envelope: newEnvelope("shard", map[string]float64{
+			"tuples":      float64(cfg.Tuples),
+			"page_size":   float64(cfg.PageSize),
+			"rounds":      float64(cfg.Rounds),
+			"pool_frames": shardPoolFrames,
+		}),
+		shardCounts: cfg.ShardCounts,
 	}
+	m := res.Metrics
+	m["selectivity_pct"] = 100 * float64(width) / float64(domain)
 
 	var base time.Duration
 	for _, k := range cfg.ShardCounts {
 		db, err := shard.Create(schema, shard.Config{
-			Shards:  k,
-			Options: []table.Option{table.WithPageSize(cfg.PageSize)},
+			Shards: k,
+			Options: []table.Option{
+				table.WithPageSize(cfg.PageSize),
+				table.WithPoolFrames(shardPoolFrames / k),
+			},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("create %d shards: %w", k, err)
@@ -198,17 +184,11 @@ func RunShard(ctx context.Context, cfg ShardConfig) (*ShardResult, error) {
 				best = t
 			}
 		}
-		row := ShardScaleRow{Shards: k, ScanMillis: float64(best.Microseconds()) / 1e3}
 		if k == 1 {
 			base = best
 		}
-		if base > 0 {
-			row.Speedup = float64(base) / float64(best)
-		}
-		res.Scale = append(res.Scale, row)
-		if k == 4 {
-			res.Speedup4 = row.Speedup
-		}
+		m[fmt.Sprintf("scan_ms/shards=%d", k)] = millis(best)
+		m[fmt.Sprintf("speedup/shards=%d", k)] = ratio(float64(base), float64(best))
 
 		// Pruning at ~1% selectivity: every block is either read or
 		// pruned (whole-shard prunes credit each skipped shard's blocks),
@@ -220,16 +200,12 @@ func RunShard(ctx context.Context, cfg ShardConfig) (*ShardResult, error) {
 			return nil, err
 		}
 		total := db.NumBlocks()
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(st.BlocksPruned) / float64(total)
-		}
+		pct := 100 * ratio(float64(st.BlocksPruned), float64(total))
 		if k == 1 {
-			res.FencePrunedPct = pct
+			m["fence_pruned_pct"] = pct
 		}
 		if k == cfg.ShardCounts[len(cfg.ShardCounts)-1] {
-			res.ShardPrunedPct = pct
-			res.ShardBlocksTotal = total
+			m["shard_pruned_pct"], m["shard_blocks_total"] = pct, float64(total)
 		}
 		if err := db.Close(); err != nil {
 			return nil, err
@@ -247,47 +223,37 @@ func RunShard(ctx context.Context, cfg ShardConfig) (*ShardResult, error) {
 	if err := tb.BulkLoadContext(ctx, tuples); err != nil {
 		return nil, err
 	}
-	res.CountAllocsPerOp = allocsPerOp(100, func() {
+	m["count_allocs_per_op"] = allocsPerOp(100, func() {
 		if _, _, err := tb.CountRangeContext(ctx, 0, domain/4, domain/2); err != nil {
 			panic(err)
 		}
 	})
 
-	res.ScalePass = res.Speedup4 >= res.MinSpeedup4 || res.CPUs < 4
-	res.PrunePass = res.ShardPrunedPct >= res.FencePrunedPct
-	res.AllocPass = res.CountAllocsPerOp <= res.MaxCountAllocs
-	res.Pass = res.ScalePass && res.PrunePass && res.AllocPass
+	scale := check("speedup/shards=4", m["speedup/shards=4"], ">=", shardMinSpeedup4)
+	if cpus := res.Host.CPUs; cpus < shardMinCPUs {
+		scale = scale.waive(fmt.Sprintf("cpus %d < %d", cpus, shardMinCPUs))
+	}
+	res.Gates = []Gate{
+		scale,
+		check("shard_pruned_pct", m["shard_pruned_pct"], ">=", m["fence_pruned_pct"]),
+		check("count_allocs_per_op", m["count_allocs_per_op"], "<=", shardMaxCountAllocs),
+	}
 	return res, nil
 }
 
 // WriteText renders the result as an aligned report.
 func (r *ShardResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "φ-range sharding: %d tuples, %d-byte pages, best of %d rounds, %d CPUs\n",
-		r.Tuples, r.PageSize, r.Rounds, r.CPUs)
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "φ-range sharding: %.0f tuples, %.0f-byte pages, %.0f pool frames split across the shards, best of %.0f rounds, %d CPUs\n",
+		wl["tuples"], wl["page_size"], wl["pool_frames"], wl["rounds"], r.Host.CPUs)
 	fmt.Fprintf(w, "%-8s %12s %9s\n", "shards", "scan ms", "speedup")
-	for _, row := range r.Scale {
-		fmt.Fprintf(w, "%-8d %12.2f %8.2fx\n", row.Shards, row.ScanMillis, row.Speedup)
+	for _, k := range r.shardCounts {
+		fmt.Fprintf(w, "%-8d %12.2f %8.2fx\n", k,
+			m[fmt.Sprintf("scan_ms/shards=%d", k)], m[fmt.Sprintf("speedup/shards=%d", k)])
 	}
-	fmt.Fprintf(w, "pruning at %.1f%% selectivity: sharded %.1f%% of %d blocks vs single-table fences %.1f%%\n",
-		r.SelectivityPct, r.ShardPrunedPct, r.ShardBlocksTotal, r.FencePrunedPct)
-	fmt.Fprintf(w, "count-range decode path: %.1f allocs/op (O(1) bookkeeping bound %.0f)\n",
-		r.CountAllocsPerOp, r.MaxCountAllocs)
-	verdict := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	fmt.Fprintf(w, "gate: 4-shard scan >= %.1fx single shard: %.2fx: %s\n",
-		r.MinSpeedup4, r.Speedup4, verdict(r.ScalePass))
-	fmt.Fprintf(w, "gate: shard pruning >= fence pruning: %s\n", verdict(r.PrunePass))
-	fmt.Fprintf(w, "gate: count-range allocs stay O(1), nothing per block: %s\n", verdict(r.AllocPass))
+	fmt.Fprintf(w, "pruning at %.1f%% selectivity: sharded %.1f%% of %.0f blocks vs single-table fences %.1f%%\n",
+		m["selectivity_pct"], m["shard_pruned_pct"], m["shard_blocks_total"], m["fence_pruned_pct"])
+	fmt.Fprintf(w, "count-range decode path: %.1f allocs/op\n", m["count_allocs_per_op"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *ShardResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -53,21 +52,8 @@ func (c *WALConfig) fillDefaults() {
 // concurrent insert workload over a simulated disk with realistic fsync
 // latency. Group commit elects one fsync leader per batch of concurrent
 // committers, so the sync count collapses from one-per-insert to
-// one-per-group; the acceptance gate requires at least MinSpeedup.
-type WALResult struct {
-	Tuples          int     `json:"tuples"`
-	Writers         int     `json:"writers"`
-	PageSize        int     `json:"page_size"`
-	SyncDelayMicros int64   `json:"sync_delay_us"`
-	NaiveMillis     float64 `json:"naive_ms"`
-	GroupMillis     float64 `json:"group_ms"`
-	NaiveFsyncs     int64   `json:"naive_fsyncs"`
-	GroupFsyncs     int64   `json:"group_fsyncs"`
-	GroupSizeAvg    float64 `json:"group_size_avg"`
-	Speedup         float64 `json:"speedup"`
-	MinSpeedup      float64 `json:"min_speedup"`
-	Pass            bool    `json:"pass"`
-}
+// one-per-group; the acceptance gate requires at least walMinSpeedup.
+type WALResult struct{ Envelope }
 
 // walMinSpeedup is the acceptance floor for group commit over naive
 // per-write fsync.
@@ -145,46 +131,34 @@ func RunWAL(ctx context.Context, cfg WALConfig) (*WALResult, error) {
 		return nil, fmt.Errorf("group run: %w", err)
 	}
 
-	res := &WALResult{
-		Tuples:          cfg.Tuples,
-		Writers:         cfg.Writers,
-		PageSize:        cfg.PageSize,
-		SyncDelayMicros: cfg.SyncDelay.Microseconds(),
-		NaiveMillis:     float64(naiveTime.Microseconds()) / 1e3,
-		GroupMillis:     float64(groupTime.Microseconds()) / 1e3,
-		NaiveFsyncs:     naiveSyncs,
-		GroupFsyncs:     groupSyncs,
-		MinSpeedup:      walMinSpeedup,
+	speedup := ratio(float64(naiveTime), float64(groupTime))
+	res := &WALResult{newEnvelope("wal", map[string]float64{
+		"tuples":        float64(cfg.Tuples),
+		"writers":       float64(cfg.Writers),
+		"page_size":     float64(cfg.PageSize),
+		"sync_delay_us": float64(cfg.SyncDelay.Microseconds()),
+	})}
+	res.Metrics = map[string]float64{
+		"naive_ms":       millis(naiveTime),
+		"group_ms":       millis(groupTime),
+		"naive_fsyncs":   float64(naiveSyncs),
+		"group_fsyncs":   float64(groupSyncs),
+		"group_size_avg": ratio(float64(cfg.Tuples), float64(groupSyncs)),
+		"speedup":        speedup,
 	}
-	if groupSyncs > 0 {
-		res.GroupSizeAvg = float64(cfg.Tuples) / float64(groupSyncs)
-	}
-	if groupTime > 0 {
-		res.Speedup = float64(naiveTime) / float64(groupTime)
-	}
-	res.Pass = res.Speedup >= walMinSpeedup
+	res.Gates = []Gate{check("speedup", speedup, ">=", walMinSpeedup)}
 	return res, nil
 }
 
 // WriteText renders the result as an aligned report.
 func (r *WALResult) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "Group commit (A8): %d inserts, %d writers, %dµs fsync latency\n",
-		r.Tuples, r.Writers, r.SyncDelayMicros)
+	wl, m := r.Workload, r.Metrics
+	fmt.Fprintf(w, "Group commit (A8): %.0f inserts, %.0f writers, %.0fµs fsync latency\n",
+		wl["tuples"], wl["writers"], wl["sync_delay_us"])
 	fmt.Fprintf(w, "%-26s %12s %10s\n", "commit policy", "elapsed ms", "fsyncs")
-	fmt.Fprintf(w, "%-26s %12.2f %10d\n", "fsync per append (naive)", r.NaiveMillis, r.NaiveFsyncs)
-	fmt.Fprintf(w, "%-26s %12.2f %10d\n", "group commit", r.GroupMillis, r.GroupFsyncs)
-	fmt.Fprintf(w, "mean commit group size: %.1f appends/fsync\n", r.GroupSizeAvg)
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	fmt.Fprintf(w, "gate: group commit >= %.1fx naive: %.1fx: %s\n", r.MinSpeedup, r.Speedup, verdict)
+	fmt.Fprintf(w, "%-26s %12.2f %10.0f\n", "fsync per append (naive)", m["naive_ms"], m["naive_fsyncs"])
+	fmt.Fprintf(w, "%-26s %12.2f %10.0f\n", "group commit", m["group_ms"], m["group_fsyncs"])
+	fmt.Fprintf(w, "mean commit group size: %.1f appends/fsync\n", m["group_size_avg"])
+	writeGates(w, r.Gates)
 	return nil
-}
-
-// WriteJSON renders the result as indented JSON.
-func (r *WALResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

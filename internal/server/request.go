@@ -47,7 +47,15 @@ var (
 	ErrOverload = errors.New("server: overloaded")
 	// ErrDraining marks a request that arrived after shutdown began.
 	ErrDraining = errors.New("server: draining")
+	// ErrTooLarge marks a request body longer than maxBodyBytes.
+	ErrTooLarge = errors.New("server: request body too large")
 )
+
+// maxBodyBytes caps one request body. The largest real request is a
+// batch mutation; 8 MiB of JSON holds some 70k tuples of the paper's
+// 16-attribute relation, and the cap keeps an endless or hostile body
+// from being buffered whole.
+const maxBodyBytes = 8 << 20
 
 // HTTPStatus maps the error vocabulary onto HTTP response codes: one
 // mapping, used by the handlers and asserted by the tests.
@@ -61,6 +69,8 @@ func HTTPStatus(err error) int {
 		return http.StatusServiceUnavailable // 503
 	case errors.Is(err, ErrBadRequest), errors.Is(err, relation.ErrDomainRange):
 		return http.StatusBadRequest // 400
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge // 413
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout // 504
 	case errors.Is(err, context.Canceled):
@@ -370,11 +380,15 @@ func (m *MutateRequest) Run(ctx context.Context, e Engine) (*MutateResponse, err
 
 // decodeStrict decodes one JSON request body, rejecting unknown fields
 // and trailing garbage so typos fail loudly as 400s instead of silently
-// defaulting.
+// defaulting. A body cut off by http.MaxBytesReader is ErrTooLarge.
 func decodeStrict(r io.Reader, dst any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: %w", ErrTooLarge, err)
+		}
 		return fmt.Errorf("%w: %w", ErrBadRequest, err)
 	}
 	if dec.More() {

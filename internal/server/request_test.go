@@ -167,6 +167,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		{table.ErrClosed, http.StatusServiceUnavailable},
 		{ErrBadRequest, http.StatusBadRequest},
 		{relation.ErrDomainRange, http.StatusBadRequest},
+		{ErrTooLarge, http.StatusRequestEntityTooLarge},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{context.Canceled, http.StatusRequestTimeout},
 		{blockstore.ErrCorruptBlock, http.StatusInternalServerError},

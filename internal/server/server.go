@@ -162,7 +162,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -195,7 +195,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

@@ -457,3 +457,49 @@ func TestServerRequestTimeout(t *testing.T) {
 		t.Fatalf("timed-out request left tokens held: (%d,%d)", r, w)
 	}
 }
+
+// endlessBody is a request body that never ends: a JSON prefix, then the
+// digits of one endless number. It counts the bytes the server pulls.
+type endlessBody struct {
+	prefix string
+	n      int64
+}
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	k := 0
+	for ; k < len(p); k++ {
+		if i := b.n + int64(k); i < int64(len(b.prefix)) {
+			p[k] = b.prefix[i]
+		} else {
+			p[k] = '1'
+		}
+	}
+	b.n += int64(k)
+	return k, nil
+}
+
+// TestServerBodyCap sends both endpoints an endless body: each answers
+// 413 in the error vocabulary and reads at most the cap plus one read
+// buffer of it.
+func TestServerBodyCap(t *testing.T) {
+	const slack = 32 << 10 // one read buffer
+	s := New(Config{Engine: loadedTable(t, 100)})
+	for _, tc := range []struct{ path, prefix string }{
+		{"/v1/query", `{"op":"count","attr":0,"lo":`},
+		{"/v1/mutate", `{"op":"batch","tuples":[[1,2,3,`},
+	} {
+		body := &endlessBody{prefix: tc.prefix}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", tc.path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: endless body = %d, want 413: %s", tc.path, rec.Code, rec.Body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: error body %q (%v)", tc.path, rec.Body, err)
+		}
+		if body.n > maxBodyBytes+slack {
+			t.Fatalf("%s: server read %d bytes of the body, cap %d", tc.path, body.n, maxBodyBytes)
+		}
+	}
+}
